@@ -1,25 +1,18 @@
-//! Hot-path engine bench: where does a saturated 8-node cluster spend its
-//! cycles, and what do the framed codec and intra-node striping buy?
+//! Hot-path engine bench: how fast does a saturated 8-node cluster drain,
+//! and where do its cycles go?
 //!
 //! Two products, both written to `BENCH_hotpath.json` at the repo root:
 //!
-//! 1. **Config grid** — committed transactions and events/s for the four
-//!    combinations of {cloned, framed} delivery × {1, 8} stripes, all on
-//!    the same saturated hospital workload the batching bench uses.
-//!    `before` is the seed configuration (cloned messages, unsharded
-//!    store); `after` is framed + striped.
-//! 2. **Stage breakdown** — separate profiled runs (`ProfileMode::On`
-//!    with the harness's monotonic clock) for the before and after
-//!    configurations, aggregated over all 8 nodes: validate / lock /
-//!    store / counter / wal shares of the dispatch envelope. Profiling
-//!    adds clock reads, so throughput numbers always come from the
-//!    *unprofiled* grid runs; the profiled runs only shape the
+//! 1. **Throughput** — committed transactions and events/s of the
+//!    shipping configuration (`ThreadedRun::run`: batched delivery of
+//!    cloned messages, one store and lock table per node) on a hospital
+//!    workload pushed far past saturation, peak-folded over rounds.
+//! 2. **Stage breakdown** — a separate profiled run (`ProfileMode::On`
+//!    with the harness's monotonic clock), aggregated over all 8 nodes:
+//!    validate / lock / store / counter / wal shares of the dispatch
+//!    envelope. Profiling adds clock reads, so throughput always comes
+//!    from the *unprofiled* runs; the profiled run only shapes the
 //!    breakdown.
-//!
-//! Single-core honesty: stripes are per-node data layout, not threads —
-//! on a 1-CPU box any win comes from smaller per-stripe trees and
-//! cheaper codec work per hop, and the breakdown is the evidence for
-//! which stage caps throughput either way.
 
 use std::time::Duration;
 
@@ -32,9 +25,8 @@ use threev_sim::SimDuration;
 use threev_workload::HospitalWorkload;
 
 const N_NODES: u16 = 8;
-const STRIPES_AFTER: u16 = 8;
-/// Interleaved rounds per config; peak-folded like the batching bench
-/// (background load on a shared box is one-sided noise).
+/// Rounds, peak-folded: background load on a shared box is one-sided
+/// noise.
 const ROUNDS: usize = 5;
 const WINDOW_MS: u64 = 2_000;
 
@@ -51,57 +43,22 @@ fn hospital(seed: u64) -> HospitalWorkload {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Config {
-    name: &'static str,
-    framed: bool,
-    stripes: u16,
-}
-
-const GRID: [Config; 4] = [
-    Config {
-        name: "before_cloned_1stripe",
-        framed: false,
-        stripes: 1,
-    },
-    Config {
-        name: "framed_1stripe",
-        framed: true,
-        stripes: 1,
-    },
-    Config {
-        name: "cloned_8stripe",
-        framed: false,
-        stripes: STRIPES_AFTER,
-    },
-    Config {
-        name: "after_framed_8stripe",
-        framed: true,
-        stripes: STRIPES_AFTER,
-    },
-];
-
 struct Probe {
     committed: u64,
     committed_per_sec: f64,
     events_per_sec: f64,
-    codec_errors: u64,
 }
 
-fn engine_probe(cfg: Config, profile: ProfileMode) -> (Probe, Option<StageBreakdown>) {
+fn engine_probe(profile: ProfileMode) -> (Probe, Option<StageBreakdown>) {
     let w = hospital(0xE17);
-    let cluster_cfg = ClusterConfig::new(N_NODES)
-        .stripes(cfg.stripes)
-        .profile(profile);
-    let actors = build_actors(&w.schema(), &cluster_cfg, w.arrivals());
-    let sim = cluster_cfg.sim.clone();
-    let duration = Duration::from_millis(WINDOW_MS);
-    let drain = Duration::from_millis(100);
-    let (actors, report) = if cfg.framed {
-        ThreadedRun::run_framed(actors, sim, duration, drain)
-    } else {
-        ThreadedRun::run(actors, sim, duration, drain)
-    };
+    let cfg = ClusterConfig::new(N_NODES).profile(profile);
+    let actors = build_actors(&w.schema(), &cfg, w.arrivals());
+    let (actors, report) = ThreadedRun::run(
+        actors,
+        cfg.sim.clone(),
+        Duration::from_millis(WINDOW_MS),
+        Duration::from_millis(100),
+    );
     let mut committed = 0u64;
     let mut breakdown = StageBreakdown::default();
     let mut profiled = false;
@@ -130,7 +87,6 @@ fn engine_probe(cfg: Config, profile: ProfileMode) -> (Probe, Option<StageBreakd
             committed,
             committed_per_sec: committed as f64 / secs,
             events_per_sec: events as f64 / secs,
-            codec_errors: report.codec_errors_per_actor.iter().sum(),
         },
         profiled.then_some(breakdown),
     )
@@ -140,122 +96,42 @@ fn peak(xs: impl Iterator<Item = f64>) -> f64 {
     xs.fold(f64::MIN, f64::max)
 }
 
-/// DES host cost: wall-clock time for the *single-threaded* simulator to
-/// chew through a fixed workload. On an oversubscribed box this is the
-/// clean per-event CPU signal — no thread scheduling in the measurement —
-/// so it isolates what striping does to per-event cost. (The framed codec
-/// cannot appear here: the DES kernel passes structured values.)
-fn des_host_probe(stripes: u16) -> f64 {
-    use threev_core::cluster::ThreeVCluster;
-    use threev_sim::SimTime;
-    let w = HospitalWorkload {
-        duration: SimDuration::from_millis(100),
-        rate_tps: 6_000.0,
-        ..hospital(0xBA7)
-    };
-    let schema = w.schema();
-    let arrivals = w.arrivals();
-    let mut best = f64::MIN;
-    for _ in 0..ROUNDS {
-        let cfg = ClusterConfig::new(N_NODES).stripes(stripes);
-        let mut cluster = ThreeVCluster::new(&schema, cfg, arrivals.clone());
-        let t0 = std::time::Instant::now();
-        cluster.run(SimTime(2_000_000));
-        let events = cluster.sim_stats().events;
-        best = best.max(events as f64 / t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
 fn main() {
-    // Interleave the whole grid ROUNDS times so background noise hits
-    // every config evenly, then peak-fold per config.
-    let mut runs: Vec<Vec<Probe>> = GRID.iter().map(|_| Vec::new()).collect();
+    let mut runs = Vec::with_capacity(ROUNDS);
     for round in 0..ROUNDS {
-        for (i, cfg) in GRID.iter().enumerate() {
-            let (probe, _) = engine_probe(*cfg, ProfileMode::Off);
-            println!(
-                "round {round} {}: committed {} ({:.0}/s), events {:.0}/s",
-                cfg.name, probe.committed, probe.committed_per_sec, probe.events_per_sec
-            );
-            assert_eq!(
-                probe.codec_errors, 0,
-                "{}: well-formed frames must not miscount",
-                cfg.name
-            );
-            runs[i].push(probe);
-        }
-    }
-
-    let mut grid_json = JsonObject::new();
-    let mut best = vec![0.0f64; GRID.len()];
-    for (i, cfg) in GRID.iter().enumerate() {
-        let committed_per_sec = peak(runs[i].iter().map(|p| p.committed_per_sec));
-        let events_per_sec = peak(runs[i].iter().map(|p| p.events_per_sec));
-        let committed = runs[i].iter().map(|p| p.committed).max().unwrap_or(0);
-        best[i] = committed_per_sec;
-        grid_json = grid_json.field(
-            cfg.name,
-            JsonObject::new()
-                .field("stripes", cfg.stripes)
-                .field("framed", u64::from(cfg.framed))
-                .field("committed", committed)
-                .field("committed_per_sec", JsonValue::Float(committed_per_sec, 0))
-                .field("events_per_sec", JsonValue::Float(events_per_sec, 0)),
+        let (probe, _) = engine_probe(ProfileMode::Off);
+        println!(
+            "round {round}: committed {} ({:.0}/s), events {:.0}/s",
+            probe.committed, probe.committed_per_sec, probe.events_per_sec
         );
+        runs.push(probe);
     }
-    let speedup = best[GRID.len() - 1] / best[0];
-    println!(
-        "hotpath: before {:.0}/s, after {:.0}/s ({speedup:.2}x committed)",
-        best[0],
-        best[GRID.len() - 1]
-    );
+    let committed_per_sec = peak(runs.iter().map(|p| p.committed_per_sec));
+    let events_per_sec = peak(runs.iter().map(|p| p.events_per_sec));
+    let committed = runs.iter().map(|p| p.committed).max().unwrap_or(0);
+    println!("hotpath: peak {committed_per_sec:.0} committed/s, {events_per_sec:.0} events/s");
 
-    // Single-threaded DES host cost for stripes 1 vs 8: the clean
-    // per-event CPU comparison, immune to thread scheduling noise.
-    let des_1 = des_host_probe(1);
-    let des_8 = des_host_probe(STRIPES_AFTER);
-    println!(
-        "des host cost: 1 stripe {des_1:.0} events/s, {STRIPES_AFTER} stripes {des_8:.0} events/s ({:.2}x)",
-        des_8 / des_1
-    );
-
-    // Profiled passes for the stage shares — one run each; the absolute
-    // numbers don't feed the grid.
-    let (_, before_b) = engine_probe(GRID[0], ProfileMode::On(mono_ns));
-    let (_, after_b) = engine_probe(GRID[GRID.len() - 1], ProfileMode::On(mono_ns));
-    let before_b = before_b.expect("profiled run yields a breakdown");
-    let after_b = after_b.expect("profiled run yields a breakdown");
+    // One profiled pass for the stage shares; its absolute throughput
+    // does not feed the figures above.
+    let (_, breakdown) = engine_probe(ProfileMode::On(mono_ns));
+    let breakdown = breakdown.expect("profiled run yields a breakdown");
 
     let report = JsonObject::new()
         .field("bench", "hotpath")
         .field("n_nodes", N_NODES)
-        .field("rounds_per_config", ROUNDS)
+        .field("rounds", ROUNDS)
         .field("window_ms", WINDOW_MS)
-        .field("configs", grid_json)
-        .field("speedup_committed", JsonValue::Float(speedup, 3))
-        .field(
-            "des_host_events_per_sec",
-            JsonObject::new()
-                .field("stripes_1", JsonValue::Float(des_1, 0))
-                .field("stripes_8", JsonValue::Float(des_8, 0))
-                .field("ratio", JsonValue::Float(des_8 / des_1, 3)),
-        )
-        .field(
-            "stage_breakdown",
-            JsonObject::new()
-                .field("before_cloned_1stripe", breakdown_json(&before_b))
-                .field("after_framed_8stripe", breakdown_json(&after_b)),
-        )
+        .field("committed", committed)
+        .field("committed_per_sec", JsonValue::Float(committed_per_sec, 0))
+        .field("events_per_sec", JsonValue::Float(events_per_sec, 0))
+        .field("stage_breakdown", breakdown_json(&breakdown))
         .field(
             "notes",
             "Stage spans are wall-clock and include preemption; on an \
              oversubscribed box the shares are meaningful, the absolute ns \
-             are not. The breakdown caps the win: the five instrumented \
-             stages total ~31% of the dispatch envelope (lock and wal are \
-             legitimately 0 for a commuting, durability-off workload), so \
-             no store/lock/codec change can exceed ~1.45x; the remaining \
-             ~69% is routing, message construction, and channel delivery.",
+             are not. lock and wal are legitimately 0 for a commuting, \
+             durability-off workload; 'other' is routing, message \
+             construction, and channel delivery.",
         );
     write_bench_report("hotpath", &report);
 }

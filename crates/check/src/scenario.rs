@@ -98,15 +98,6 @@ pub const CATALOGUE: &[Scenario] = &[
         sabotaged: false,
     },
     Scenario {
-        name: "stripe-interleave",
-        about: "2 nodes, node stores split into 2 key stripes; both stripes of node 0 \
-                 advance interleaved with cross-node trees and a racing advancement",
-        n_nodes: 2,
-        partitions: 1,
-        crashes: false,
-        sabotaged: false,
-    },
-    Scenario {
         name: "p2-skip",
         about: "SABOTAGED: coordinator skips the Phase-2 drain (reverts §4.3's wait)",
         n_nodes: 2,
@@ -216,7 +207,6 @@ impl Scenario {
             "skew-pair" => self.skew_pair(),
             "crash-p2" => self.crash_p2(),
             "nc-gate" => self.nc_gate(),
-            "stripe-interleave" => self.stripe_interleave(),
             "p2-skip" => self.p2_skip(),
             // "two-node-basic" and any future default.
             _ => self.two_node_basic(),
@@ -459,44 +449,6 @@ impl Scenario {
     }
 
     #[allow(clippy::type_complexity)]
-    fn stripe_interleave(
-        &self,
-    ) -> (
-        Schema,
-        ClusterConfig,
-        Vec<Arrival>,
-        Vec<SimTime>,
-        Vec<NodeCrash>,
-    ) {
-        // Node stores split into 2 key stripes. Under the stripe hash,
-        // node 0's counter k(1) routes to stripe 1 and its journal k(11)
-        // to stripe 0, so every cross-node visit touches both stripes of
-        // node 0 in one dispatch while its node-1 leg is in flight. The
-        // stripe-pure arrivals (counter-only, journal-only) let the
-        // checker land work on exactly one stripe on either side of the
-        // advancement's version switch: the version window (vu, vr) is
-        // per-node, never per-stripe, so P1/P2/P5 and the Thm 4.1 audit
-        // must hold exactly as in the unsharded scenarios.
-        let stripe1_only = TxnPlan::commuting(SubtxnPlan::new(n(0)).update(k(1), UpdateOp::Add(3)));
-        let stripe0_only = TxnPlan::commuting(
-            SubtxnPlan::new(n(0)).update(k(11), UpdateOp::Append { amount: 3, tag: 4 }),
-        );
-        let arrivals = vec![
-            Arrival::at(ms(1), visit2(100, 1)),
-            Arrival::at(ms(2), stripe1_only),
-            Arrival::at(ms(4), stripe0_only),
-            Arrival::at(ms(6), inquiry2()),
-        ];
-        (
-            two_node_schema(),
-            ClusterConfig::new(2).stripes(2),
-            arrivals,
-            vec![ms(3)],
-            vec![],
-        )
-    }
-
-    #[allow(clippy::type_complexity)]
     fn p2_skip(
         &self,
     ) -> (
@@ -656,45 +608,6 @@ mod tests {
         assert!(find("skew-cross-partition").is_some_and(|s| s.partitions == 2));
         assert!(find("no-such").is_none());
         assert!(sound().all(|s| !s.sabotaged));
-    }
-
-    /// The stripe scenario really stripes: both database nodes run two
-    /// stripes, node 0's traffic lands in both of them, and the default
-    /// schedule still satisfies the oracle.
-    #[test]
-    fn stripe_scenario_actually_stripes() {
-        let sc = find("stripe-interleave").unwrap();
-        let mut sim = sc.build(1);
-        let out = sim.run_to_quiescence(SimTime::MAX);
-        assert!(matches!(out, QuiesceOutcome::Quiescent(_)), "{out:?}");
-        for a in sim.actors() {
-            if let ClusterActor::Node(node) = a {
-                assert_eq!(
-                    node.store().n_stripes(),
-                    2,
-                    "node {:?}",
-                    node.store().node()
-                );
-            }
-        }
-        let node0 = sim
-            .actors()
-            .iter()
-            .find_map(|a| match a {
-                ClusterActor::Node(node) if node.store().node() == n(0) => Some(node),
-                _ => None,
-            })
-            .expect("node 0");
-        let stripes_touched: std::collections::BTreeSet<usize> = node0
-            .store()
-            .keys()
-            .map(|key| node0.store().stripe_of_key(key))
-            .collect();
-        assert_eq!(
-            stripes_touched.len(),
-            2,
-            "node 0 must hold keys in both stripes"
-        );
     }
 
     /// The sharded scenario really is sharded: both partitions host a

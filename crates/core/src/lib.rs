@@ -62,7 +62,6 @@
 pub mod advance;
 pub mod client;
 pub mod cluster;
-pub mod codec;
 pub mod counters;
 pub mod msg;
 pub mod node;
@@ -70,7 +69,6 @@ pub mod node;
 pub use advance::{AdvancementPolicy, AdvancementRecord, Coordinator};
 pub use client::{Arrival, ClientActor};
 pub use cluster::{ClusterConfig, ThreeVCluster, ThreeVConfig};
-pub use codec::MSG_WIRE_VERSION;
 pub use counters::{CounterMatrix, CounterSnapshot, CounterTable};
 pub use msg::{ClientEvent, Msg, ProtocolMsg};
 pub use node::{DurabilityMode, InvariantView, ThreeVNode};

@@ -12,7 +12,7 @@ use threev_model::{NodeId, SubtxnId, SubtxnPlan, TxnId, TxnKind, VersionNo};
 use crate::counters::CounterSnapshot;
 
 /// Messages exchanged in a 3V cluster (nodes, coordinator, client).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub enum Msg {
     // ------------------------------------------------------------- client
     /// Client submits a root transaction to its root node.

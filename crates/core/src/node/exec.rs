@@ -313,41 +313,10 @@ impl ThreeVNode {
         self.finish_subtree(ctx, sub_id);
     }
 
-    /// Classify a job for the striped-execution stats: does every local
-    /// step land in one store stripe? Pure observation — stripe routing is
-    /// per-key inside the store, so correctness never depends on this —
-    /// but the share of stripe-local jobs is the parallelism headroom a
-    /// multi-core delivery layer could exploit, and `BENCH_hotpath.json`
-    /// reports it.
-    fn classify_stripes(&mut self, job: &Job) {
-        if self.store.n_stripes() <= 1 {
-            return;
-        }
-        let mut first: Option<usize> = None;
-        let mut spanning = false;
-        for step in &job.plan.steps {
-            let s = self.store.stripe_of_key(step.key());
-            match first {
-                None => first = Some(s),
-                Some(f) if f != s => {
-                    spanning = true;
-                    break;
-                }
-                Some(_) => {}
-            }
-        }
-        if spanning {
-            self.stats.stripe_spanning_jobs += 1;
-        } else {
-            self.stats.stripe_local_jobs += 1;
-        }
-    }
-
     /// Execute the local steps, spawn children, and complete — §4.1 steps
     /// 3–6 (well-behaved), §4.2 (queries), §5 steps 3–5 (non-commuting).
     fn execute_job(&mut self, ctx: &mut Ctx<'_, Msg>, mut job: Job) {
         self.stats.subtxns_executed += 1;
-        self.classify_stripes(&job);
         let mut reads: Vec<ReadObservation> = Vec::new();
         let mut clean = true;
 

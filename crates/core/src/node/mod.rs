@@ -51,7 +51,7 @@ use threev_model::{
     VersionNo,
 };
 use threev_sim::{Actor, Ctx, SimDuration};
-use threev_storage::{LockMode, Store, StoreStats, StripedLocks, StripedStore, UndoLog};
+use threev_storage::{AnyBackend, LockMode, LockTable, Store, StoreStats, UndoLog};
 // Re-exported so downstream crates (shard, runtime, binaries) can select a
 // backend without depending on threev-storage directly.
 pub use threev_storage::BackendConfig;
@@ -112,14 +112,6 @@ pub struct NodeConfig {
     /// recognise foreign senders, re-root their subtransactions, and keep
     /// gauge-keyed counter rows per peer partition.
     pub topology: Topology,
-    /// Intra-node key stripes for the store and lock table (ROADMAP
-    /// item 3). `1` (the default) is the classic unsharded engine,
-    /// bit-identical to before the stripe layer existed; `N > 1` splits
-    /// the version chains and lock states into N independent stripes by a
-    /// fixed key hash — exact-equivalent by the paper's disjoint-key
-    /// commutativity argument (see `threev_storage::stripe`), pinned by
-    /// `tests/stripe_equivalence.rs`.
-    pub stripes: u16,
     /// Hot-path stage profiling (see [`profile`]). Off by default and
     /// observationally free when on.
     pub profile: ProfileMode,
@@ -134,7 +126,6 @@ impl Default for NodeConfig {
             durability: DurabilityMode::None,
             backend: BackendConfig::Mem,
             topology: Topology::single(),
-            stripes: 1,
             profile: ProfileMode::Off,
         }
     }
@@ -194,13 +185,6 @@ pub struct NodeStats {
     pub recoveries: u64,
     /// WAL records replayed across all recoveries.
     pub wal_replayed: u64,
-    /// Subtransactions whose step keys all hashed to one store stripe
-    /// (the stripe-independent fast class; only counted when the node
-    /// runs more than one stripe).
-    pub stripe_local_jobs: u64,
-    /// Subtransactions touching keys in two or more stripes (these rely
-    /// on the single-message-at-a-time ordered path).
-    pub stripe_spanning_jobs: u64,
 }
 
 /// A unit of runnable work: one subtransaction with its full context.
@@ -322,9 +306,9 @@ pub struct ThreeVNode {
     down: bool,
     vu: VersionNo,
     vr: VersionNo,
-    store: StripedStore,
+    store: Store<AnyBackend>,
     counters: CounterTable,
-    locks: StripedLocks,
+    locks: LockTable,
     spawn_seq: u64,
     trackers: BTreeMap<SubtxnId, SubTracker>,
     footprints: BTreeMap<TxnId, Footprint>,
@@ -361,16 +345,6 @@ impl ThreeVNode {
     /// initial checkpoint is taken immediately, so recovery always has a
     /// base snapshot to start from.
     pub fn new(schema: &Schema, me: NodeId, cfg: NodeConfig) -> Self {
-        if cfg.stripes > 1
-            && cfg.durability != DurabilityMode::None
-            && matches!(cfg.backend, BackendConfig::Paged { .. })
-        {
-            // lint-allow(panic-hygiene): construction-time config error.
-            // Paged WAL replay recovers directly into the single page
-            // store; striped paged recovery is not wired yet and failing
-            // loudly beats silently dropping stripes.
-            panic!("{me}: stripes > 1 with a durable paged backend is unsupported");
-        }
         let dur = match &cfg.durability {
             DurabilityMode::None => None,
             DurabilityMode::Memory { checkpoint_every } => Some(Durability::new(
@@ -394,13 +368,15 @@ impl ThreeVNode {
         // lint-allow(panic-hygiene): construction-time config error
         // (unopenable page-store directory), same fail-stop rationale as
         // the WAL directory above.
-        let store = StripedStore::from_schema_on_config(&cfg.backend, schema, me, cfg.stripes)
+        let backend = cfg
+            .backend
+            .open(me)
             .unwrap_or_else(|e| panic!("{me}: cannot open storage backend {:?}: {e}", cfg.backend));
+        let store = Store::from_schema_on(backend, schema, me);
         let prof = match cfg.profile {
             ProfileMode::Off => None,
             ProfileMode::On(clock) => Some(Box::new(ProfState::new(clock))),
         };
-        let stripes = cfg.stripes;
         let mut node = ThreeVNode {
             me,
             cfg,
@@ -409,7 +385,7 @@ impl ThreeVNode {
             vr: VersionNo(0),
             store,
             counters: CounterTable::new(),
-            locks: StripedLocks::new(stripes),
+            locks: LockTable::new(),
             spawn_seq: 0,
             trackers: BTreeMap::new(),
             footprints: BTreeMap::new(),
@@ -446,14 +422,14 @@ impl ThreeVNode {
         self.vr
     }
 
-    /// The node's (possibly striped) store.
-    pub fn store(&self) -> &StripedStore {
+    /// The node's store.
+    pub fn store(&self) -> &Store<AnyBackend> {
         &self.store
     }
 
-    /// Storage statistics, merged across stripes.
+    /// Storage statistics.
     pub fn store_stats(&self) -> StoreStats {
-        self.store.stats()
+        self.store.stats().clone()
     }
 
     /// Protocol statistics.
@@ -467,7 +443,7 @@ impl ThreeVNode {
     }
 
     /// Lock table (read access for invariant checks).
-    pub fn locks(&self) -> &StripedLocks {
+    pub fn locks(&self) -> &LockTable {
         &self.locks
     }
 
@@ -654,9 +630,9 @@ impl ThreeVNode {
         // be circular. The placeholder is an empty mem store even under a
         // paged config: the page files survive on disk and recovery
         // reopens them.
-        self.store = StripedStore::empty_mem(self.me);
+        self.store = Store::empty(self.me).into_any();
         self.counters = CounterTable::new();
-        self.locks = StripedLocks::new(1);
+        self.locks = LockTable::new();
         self.vu = VersionNo(1);
         self.vr = VersionNo(0);
         self.trackers.clear();
@@ -693,24 +669,12 @@ impl ThreeVNode {
         let Some(state) = d.recover() else {
             return false;
         };
-        // The recovered image is the merged key-sorted view; a striped
-        // node re-splits it by the same key hash it routes with.
-        let store = if self.cfg.stripes > 1 {
-            StripedStore::from_merged_parts(self.me, state.store.export_parts(), self.cfg.stripes)
-        } else {
-            StripedStore::from_single(state.store.into_any())
-        };
-        let locks = if self.cfg.stripes > 1 {
-            StripedLocks::from_merged_parts(state.locks.export_parts(), self.cfg.stripes)
-        } else {
-            StripedLocks::from_single(state.locks)
-        };
         // lint-allow(wal-hook-coverage): recovery installs state *read
         // from* the checkpoint+WAL; re-logging the install would duplicate
         // every record on the next recovery (replay is LSN-idempotent but
         // the log would grow unboundedly).
-        self.store = store;
-        self.locks = locks;
+        self.store = state.store.into_any();
+        self.locks = state.locks;
         self.counters = CounterTable::from_parts(state.counters);
         self.vu = state.vu;
         self.vr = state.vr;
@@ -739,21 +703,19 @@ impl ThreeVNode {
                 .unwrap_or_else(|e| panic!("{}: cannot reopen storage backend: {e}", self.me));
             // lint-allow(wal-hook-coverage): recovery installs state read
             // back from disk; logging the install would duplicate records.
-            self.store = StripedStore::from_single(Store::on_backend(backend, self.me));
+            self.store = Store::on_backend(backend, self.me);
         }
         let store_lsn = self.store.durable_lsn().unwrap_or(0);
         let Some(d) = self.dur.as_mut() else {
             return false;
         };
-        // Durable paged nodes are single-stripe (enforced at
-        // construction), so replay targets the one underlying store.
-        let Some(state) = d.recover_paged(self.store.single_mut(), store_lsn) else {
+        let Some(state) = d.recover_paged(&mut self.store, store_lsn) else {
             return false;
         };
         // Control state always recovers from checkpoint + log regardless
         // of backend; only the chains live in the page files.
         // lint-allow(wal-hook-coverage): recovery install, as above.
-        self.locks = StripedLocks::from_single(state.locks);
+        self.locks = state.locks;
         self.counters = CounterTable::from_parts(state.counters);
         self.vu = state.vu;
         self.vr = state.vr;

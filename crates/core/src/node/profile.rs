@@ -6,14 +6,14 @@
 //! **dispatch** bucket (everything else: routing, tracker bookkeeping,
 //! message construction). `BENCH_hotpath.json` reports where the cycles go
 //! so optimisation effort lands on the stage that actually caps
-//! throughput (ROADMAP item 3).
+//! throughput.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Observationally free.** Profiling must never change protocol
 //!    behaviour. The hooks only *read* a clock and *add* to counters that
 //!    nothing in the engine ever consults; the `profiler_is_free` guard in
-//!    `tests/stripe_equivalence.rs` asserts fingerprint-identical runs
+//!    `tests/batch_equivalence.rs` asserts fingerprint-identical runs
 //!    with profiling on and off.
 //! 2. **No-op when disabled.** `ProfileMode::Off` (the default) keeps the
 //!    node's profile state `None`; every hook is an `Option` check that

@@ -218,21 +218,20 @@ fn server_policy_keeps_panic_hygiene_without_determinism() {
     assert!(exempt.is_empty(), "{exempt:#?}");
 }
 
-/// The striped execution path (PR 10) is node-engine code, so every
-/// family applies at once: determinism (order-random routing maps, wall
-/// clocks), panic hygiene (unwrap on stripe lookup), and WAL-hook
-/// coverage (an unlogged version switch) — while the pure hash routing
-/// the real `stripe_of` uses stays silent.
+/// Node-engine code is held to every family at once: determinism
+/// (order-random routing maps, wall clocks), panic hygiene (unwrap on a
+/// lookup), and WAL-hook coverage (an unlogged version switch) — while
+/// pure hash routing stays silent.
 #[test]
-fn stripe_fixture_holds_the_engine_policies() {
-    let src = fixture("bad_stripe.rs");
-    let findings = lint_source("core", "crates/core/src/node/stripes.rs", &src);
+fn engine_fixture_holds_the_engine_policies() {
+    let src = fixture("bad_engine.rs");
+    let findings = lint_source("core", "crates/core/src/node/exec.rs", &src);
     assert_eq!(
         shape(&findings),
         vec![
             ("determinism", 6),        // HashMap import
             ("determinism", 9),        // HashMap routing table in a signature
-            ("panic-hygiene", 10),     // .unwrap() on stripe lookup
+            ("panic-hygiene", 10),     // .unwrap() on the lookup
             ("determinism", 13),       // Instant in a signature
             ("determinism", 14),       // Instant::now()
             ("wal-hook-coverage", 18), // version switch with no WAL hook

@@ -13,96 +13,24 @@
 //! does in the simulator — it is the same code path, scheduled by the OS
 //! instead of the event heap.
 //!
-//! Two delivery modes are supported (see [`DeliveryMode`]). In the default
-//! batched mode, each wakeup drains the whole channel backlog into a
-//! reusable inbox and hands it to the actor through
+//! Delivery is batched: each wakeup drains the whole channel backlog into
+//! a reusable inbox and hands it to the actor through
 //! [`threev_sim::Actor::on_batch`] — one heap-free kernel entry per wakeup
-//! instead of one event-queue round-trip per message. Per-message mode
-//! keeps the one-`inject_at`-per-message path; it exists as the baseline
-//! the batching benchmark compares against, and as the reference behaviour
-//! the equivalence tests pin batching to.
-//!
-//! Orthogonally, the channels can carry either structured messages
-//! (cloned per hop, the historical behaviour) or **framed bytes**
-//! ([`ThreadedRun::run_framed`]): each outbound message is encoded once
-//! through [`threev_sim::WireCodec`] into an `Arc<[u8]>`, fault-plane
-//! duplicates share the same allocation (a refcount bump instead of a
-//! deep clone of the enum tree), and receivers decode the borrowed slice.
-//! Malformed frames are counted and dropped, never panicked on.
+//! instead of one event-queue round-trip per message. The channels carry
+//! the structured messages themselves (cloned only for a fault-plane
+//! duplicate). The discrete-event kernel stays the reference behaviour:
+//! `tests/driver_equivalence.rs` pins threaded runs to it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use threev_model::NodeId;
-use threev_sim::{Actor, LinkStats, SimConfig, SimTime, Simulation, Transport, WireCodec};
-
-/// How an actor thread feeds inbound messages to its engine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeliveryMode {
-    /// Drain the channel backlog into one reusable buffer per wakeup and
-    /// deliver it through `Actor::on_batch`, bypassing the event heap.
-    Batched,
-    /// Inject messages into the event heap one at a time (the historical
-    /// behaviour; kept as the comparison baseline).
-    PerMessage,
-}
-
-/// What travels on the inter-actor channels: either the message itself
-/// (cloned per hop) or an encoded frame shared across duplicates. The
-/// carrier is the *only* difference between the plain and framed runs —
-/// routing, fault planning, and delivery are one code path.
-trait Carrier<M>: Clone + Send + 'static {
-    /// Package an outbound message. `None` means the message could not be
-    /// encoded; the caller counts it and drops, mirroring a wire that
-    /// rejects an oversized frame.
-    fn pack(msg: M, codec_errors: &mut u64) -> Option<Self>;
-    /// Unpackage an inbound carrier. `None` means the frame was
-    /// malformed; the caller counts it and drops.
-    fn unpack(self, codec_errors: &mut u64) -> Option<M>;
-}
-
-/// Identity carrier: the channel carries the structured message.
-impl<M: Clone + Send + 'static> Carrier<M> for M {
-    fn pack(msg: M, _codec_errors: &mut u64) -> Option<Self> {
-        Some(msg)
-    }
-    fn unpack(self, _codec_errors: &mut u64) -> Option<M> {
-        Some(self)
-    }
-}
-
-/// Framed carrier: the channel carries one encoded frame. Cloning (for a
-/// fault-plane duplicate) bumps a refcount instead of deep-cloning the
-/// message.
-#[derive(Clone)]
-struct Framed(Arc<[u8]>);
-
-impl<M: WireCodec + Send + 'static> Carrier<M> for Framed {
-    fn pack(msg: M, codec_errors: &mut u64) -> Option<Self> {
-        match msg.encode_wire() {
-            Ok(bytes) => Some(Framed(Arc::from(bytes))),
-            Err(_) => {
-                *codec_errors += 1;
-                None
-            }
-        }
-    }
-    fn unpack(self, codec_errors: &mut u64) -> Option<M> {
-        match M::decode_wire(&self.0) {
-            Ok(msg) => Some(msg),
-            Err(_) => {
-                *codec_errors += 1;
-                None
-            }
-        }
-    }
-}
+use threev_sim::{Actor, LinkStats, SimConfig, SimTime, Simulation, Transport};
 
 /// Runs a set of actors on one thread each, routing cross-actor messages
 /// over channels, for a fixed wall-clock duration.
@@ -115,22 +43,20 @@ pub struct ThreadedReport {
     pub elapsed: Duration,
     /// Messages processed per actor.
     pub messages_per_actor: Vec<u64>,
-    /// `on_batch` invocations per actor (zero in per-message mode).
+    /// `on_batch` invocations per actor.
     pub batches_per_actor: Vec<u64>,
     /// Per-actor transport totals (wire sends plus local kernel sends):
     /// sent/delivered/dropped/duplicated/reordered. With the fault plane
     /// disabled the fault counters are provably zero — asserted by
     /// `driver_equivalence`.
     pub transport_per_actor: Vec<LinkStats>,
-    /// Frames that failed to encode (counted at the sender) or decode
-    /// (counted at the receiver) per actor. Always zero outside framed
-    /// mode; zero in framed mode too unless bytes were corrupted.
-    pub codec_errors_per_actor: Vec<u64>,
 }
 
 impl ThreadedRun {
-    /// Run `actors` in the default batched delivery mode. See
-    /// [`ThreadedRun::run_with`].
+    /// Run `actors` (actor `i` gets `NodeId(i)`, its own thread, and its
+    /// own seeded single-actor simulation) for `duration` of wall time,
+    /// then a `drain` grace period with no new timer-driven work expected.
+    /// Returns the actors (for record extraction) and a report.
     pub fn run<A>(
         actors: Vec<A>,
         cfg: SimConfig,
@@ -141,76 +67,9 @@ impl ThreadedRun {
         A: Actor + Send + 'static,
         A::Msg: Send + Clone + 'static,
     {
-        Self::run_with(actors, cfg, DeliveryMode::Batched, duration, drain)
-    }
-
-    /// Run `actors` (actor `i` gets `NodeId(i)`, its own thread, and its
-    /// own seeded single-actor simulation) for `duration` of wall time,
-    /// then a `drain` grace period with no new timer-driven work expected.
-    /// Returns the actors (for record extraction) and a report.
-    pub fn run_with<A>(
-        actors: Vec<A>,
-        cfg: SimConfig,
-        mode: DeliveryMode,
-        duration: Duration,
-        drain: Duration,
-    ) -> (Vec<A>, ThreadedReport)
-    where
-        A: Actor + Send + 'static,
-        A::Msg: Send + Clone + 'static,
-    {
-        Self::run_carrier::<A, A::Msg>(actors, cfg, mode, duration, drain)
-    }
-
-    /// Run in framed-bytes mode with batched delivery: every inter-actor
-    /// message is encoded once via [`WireCodec`], shipped as a shared
-    /// byte frame, and decoded at the receiver. See [`ThreadedRun::run_framed_with`].
-    pub fn run_framed<A>(
-        actors: Vec<A>,
-        cfg: SimConfig,
-        duration: Duration,
-        drain: Duration,
-    ) -> (Vec<A>, ThreadedReport)
-    where
-        A: Actor + Send + 'static,
-        A::Msg: Send + Clone + WireCodec + 'static,
-    {
-        Self::run_framed_with(actors, cfg, DeliveryMode::Batched, duration, drain)
-    }
-
-    /// Framed-bytes variant of [`ThreadedRun::run_with`]: the channels
-    /// carry `Arc<[u8]>` frames instead of cloned message values.
-    /// Messages that fail to encode or decode are counted in
-    /// [`ThreadedReport::codec_errors_per_actor`] and dropped.
-    pub fn run_framed_with<A>(
-        actors: Vec<A>,
-        cfg: SimConfig,
-        mode: DeliveryMode,
-        duration: Duration,
-        drain: Duration,
-    ) -> (Vec<A>, ThreadedReport)
-    where
-        A: Actor + Send + 'static,
-        A::Msg: Send + Clone + WireCodec + 'static,
-    {
-        Self::run_carrier::<A, Framed>(actors, cfg, mode, duration, drain)
-    }
-
-    fn run_carrier<A, C>(
-        actors: Vec<A>,
-        cfg: SimConfig,
-        mode: DeliveryMode,
-        duration: Duration,
-        drain: Duration,
-    ) -> (Vec<A>, ThreadedReport)
-    where
-        A: Actor + Send + 'static,
-        A::Msg: Send + Clone + 'static,
-        C: Carrier<A::Msg>,
-    {
         let n = actors.len();
-        let mut senders: Vec<Sender<(NodeId, NodeId, C)>> = Vec::with_capacity(n);
-        let mut receivers: Vec<Receiver<(NodeId, NodeId, C)>> = Vec::with_capacity(n);
+        let mut senders: Vec<Sender<(NodeId, NodeId, A::Msg)>> = Vec::with_capacity(n);
+        let mut receivers: Vec<Receiver<(NodeId, NodeId, A::Msg)>> = Vec::with_capacity(n);
         for _ in 0..n {
             let (tx, rx) = unbounded();
             senders.push(tx);
@@ -236,8 +95,7 @@ impl ThreadedRun {
                 let mut inbox: Vec<(NodeId, NodeId, A::Msg)> = Vec::new();
                 let mut outbox: Vec<(NodeId, NodeId, A::Msg)> = Vec::new();
                 // Fault-delayed copies awaiting their wire delivery time.
-                let mut held: Vec<(SimTime, NodeId, NodeId, C)> = Vec::new();
-                let mut codec_errors: u64 = 0;
+                let mut held: Vec<(SimTime, NodeId, NodeId, A::Msg)> = Vec::new();
                 loop {
                     let now = SimTime(start.elapsed().as_micros() as u64);
                     if start.elapsed() >= deadline {
@@ -253,19 +111,15 @@ impl ThreadedRun {
                             continue;
                         }
                         let plan = transport.plan_wire(from, to, now);
-                        // Encode once; the duplicate shares the carrier.
-                        let Some(carrier) = C::pack(msg, &mut codec_errors) else {
-                            continue;
-                        };
                         if let Some(at) = plan.dup {
-                            held.push((at, from, to, carrier.clone()));
+                            held.push((at, from, to, msg.clone()));
                         }
                         match plan.first {
                             Some(at) if at <= now => {
                                 // A send can fail only during shutdown.
-                                let _ = routes[idx].send((from, to, carrier));
+                                let _ = routes[idx].send((from, to, msg));
                             }
-                            Some(at) => held.push((at, from, to, carrier)),
+                            Some(at) => held.push((at, from, to, msg)),
                             None => {} // dropped by the fault plane
                         }
                     }
@@ -273,8 +127,8 @@ impl ThreadedRun {
                     let mut h = 0;
                     while h < held.len() {
                         if held[h].0 <= now {
-                            let (_, from, to, carrier) = held.swap_remove(h);
-                            let _ = routes[to.index()].send((from, to, carrier));
+                            let (_, from, to, msg) = held.swap_remove(h);
+                            let _ = routes[to.index()].send((from, to, msg));
                         } else {
                             h += 1;
                         }
@@ -295,7 +149,7 @@ impl ThreadedRun {
                         }
                     };
                     match rx.recv_timeout(timeout) {
-                        Ok((first_from, first_to, first_carrier)) => {
+                        Ok(first) => {
                             let now = SimTime(start.elapsed().as_micros() as u64);
                             sim.set_now(now);
                             let at = sim.now().max(now);
@@ -307,37 +161,16 @@ impl ThreadedRun {
                                 sim.run_until(at);
                                 continue;
                             }
-                            match mode {
-                                DeliveryMode::Batched => {
-                                    // One wakeup = one batch: everything
-                                    // queued right now, in channel order.
-                                    // Malformed frames are counted and
-                                    // dropped here, before the engine.
-                                    if let Some(m) = first_carrier.unpack(&mut codec_errors) {
-                                        inbox.push((first_from, first_to, m));
-                                    }
-                                    while let Ok((from, to, c)) = rx.try_recv() {
-                                        if let Some(m) = c.unpack(&mut codec_errors) {
-                                            inbox.push((from, to, m));
-                                        }
-                                    }
-                                    // Fire timers that came due while
-                                    // blocked, then hand over the batch.
-                                    sim.run_until(at);
-                                    sim.deliver_batch(at, &mut inbox);
-                                }
-                                DeliveryMode::PerMessage => {
-                                    if let Some(m) = first_carrier.unpack(&mut codec_errors) {
-                                        sim.inject_at(at, first_from, first_to, m);
-                                    }
-                                    // Drain the rest without blocking.
-                                    while let Ok((from, to, c)) = rx.try_recv() {
-                                        if let Some(m) = c.unpack(&mut codec_errors) {
-                                            sim.inject_at(at, from, to, m);
-                                        }
-                                    }
-                                }
+                            // One wakeup = one batch: everything queued
+                            // right now, in channel order.
+                            inbox.push(first);
+                            while let Ok(m) = rx.try_recv() {
+                                inbox.push(m);
                             }
+                            // Fire timers that came due while blocked,
+                            // then hand over the batch.
+                            sim.run_until(at);
+                            sim.deliver_batch(at, &mut inbox);
                         }
                         Err(RecvTimeoutError::Timeout) => {}
                         Err(RecvTimeoutError::Disconnected) => break,
@@ -356,7 +189,6 @@ impl ThreadedRun {
                     processed,
                     batches,
                     transport_totals,
-                    codec_errors,
                 )
             });
             handles.push(handle);
@@ -370,16 +202,14 @@ impl ThreadedRun {
             messages_per_actor: Vec::with_capacity(n),
             batches_per_actor: Vec::with_capacity(n),
             transport_per_actor: Vec::with_capacity(n),
-            codec_errors_per_actor: Vec::with_capacity(n),
         };
         for h in handles {
-            let (actor, processed, batches, transport_totals, codec_errors) =
+            let (actor, processed, batches, transport_totals) =
                 h.join().expect("actor thread panicked");
             out_actors.push(actor);
             report.messages_per_actor.push(processed);
             report.batches_per_actor.push(batches);
             report.transport_per_actor.push(transport_totals);
-            report.codec_errors_per_actor.push(codec_errors);
         }
         report.elapsed = start.elapsed();
         (out_actors, report)
@@ -391,21 +221,6 @@ mod tests {
     use super::*;
     use threev_sim::Ctx;
 
-    /// Local test message: a newtype over the ping number so the framed
-    /// tests can implement the foreign `WireCodec` trait for it.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    struct Ping(u64);
-
-    impl WireCodec for Ping {
-        fn encode_wire(&self) -> Result<Vec<u8>, &'static str> {
-            Ok(self.0.to_le_bytes().to_vec())
-        }
-        fn decode_wire(bytes: &[u8]) -> Result<Self, &'static str> {
-            let arr: [u8; 8] = bytes.try_into().map_err(|_| "ping frame must be 8 bytes")?;
-            Ok(Ping(u64::from_le_bytes(arr)))
-        }
-    }
-
     /// Counter actor: node 0 fires N pings at node 1 on start; node 1
     /// echoes; node 0 counts echoes.
     struct Echo {
@@ -416,15 +231,15 @@ mod tests {
     }
 
     impl Actor for Echo {
-        type Msg = Ping;
-        fn on_start(&mut self, ctx: &mut Ctx<'_, Ping>) {
+        type Msg = u64;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
             if self.send_initial {
                 for i in 0..self.to_send {
-                    ctx.send(self.peer, Ping(i));
+                    ctx.send(self.peer, i);
                 }
             }
         }
-        fn on_message(&mut self, ctx: &mut Ctx<'_, Ping>, from: NodeId, msg: Ping) {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, from: NodeId, msg: u64) {
             self.received += 1;
             if !self.send_initial {
                 ctx.send(from, msg); // echo
@@ -461,44 +276,11 @@ mod tests {
         assert_eq!(actors[0].received, 500, "all echoes arrived");
         assert!(report.elapsed >= Duration::from_millis(300));
         assert_eq!(report.messages_per_actor.len(), 2);
-        // Default mode is batched: wakeups happened, and no wakeup handled
-        // more work than exists.
+        // Delivery is batched: wakeups happened, and no wakeup handled more
+        // work than exists.
         let batches: u64 = report.batches_per_actor.iter().sum();
         assert!(batches > 0, "batched mode must report batches");
         assert!(batches <= 1000, "batches cannot exceed messages");
-        // Identity carrier never produces codec errors.
-        assert_eq!(report.codec_errors_per_actor, vec![0, 0]);
-    }
-
-    #[test]
-    fn per_message_mode_delivers_everything_too() {
-        let (actors, report) = ThreadedRun::run_with(
-            echo_pair(),
-            SimConfig::seeded(1),
-            DeliveryMode::PerMessage,
-            Duration::from_millis(300),
-            Duration::from_millis(100),
-        );
-        assert_eq!(actors[1].received, 500);
-        assert_eq!(actors[0].received, 500);
-        assert_eq!(report.batches_per_actor, vec![0, 0]);
-    }
-
-    #[test]
-    fn framed_mode_delivers_everything() {
-        let (actors, report) = ThreadedRun::run_framed(
-            echo_pair(),
-            SimConfig::seeded(1),
-            Duration::from_millis(300),
-            Duration::from_millis(100),
-        );
-        assert_eq!(actors[1].received, 500, "all pings arrived framed");
-        assert_eq!(actors[0].received, 500, "all echoes arrived framed");
-        assert_eq!(
-            report.codec_errors_per_actor,
-            vec![0, 0],
-            "well-formed frames never miscount"
-        );
     }
 
     /// Timers must fire on the wall clock.
@@ -567,31 +349,6 @@ mod tests {
             actors[0].received,
             totals.dropped
         );
-    }
-
-    #[test]
-    fn framed_mode_survives_fault_plane_duplication() {
-        // Duplication exercises the shared-Arc path: the duplicate is the
-        // same frame, and both copies must decode.
-        let mut cfg = SimConfig::seeded(7);
-        cfg.faults = threev_sim::FaultPlane::lossy(0, 300_000);
-        let (actors, report) = ThreadedRun::run_framed(
-            echo_pair(),
-            cfg,
-            Duration::from_millis(300),
-            Duration::from_millis(100),
-        );
-        let mut totals = LinkStats::default();
-        for t in &report.transport_per_actor {
-            totals.add(t);
-        }
-        assert!(totals.duplicated > 0, "duplication must register");
-        assert!(
-            actors[0].received >= 500,
-            "echoes={} with dup-only faults nothing is lost",
-            actors[0].received
-        );
-        assert_eq!(report.codec_errors_per_actor, vec![0, 0]);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Cross-driver equivalence: the discrete-event simulator and the
 //! real-thread runtime run the *same* sans-io engine code, so a commuting
-//! workload must leave bit-identical final stores under both drivers — and
-//! under both threaded delivery modes.
+//! workload must leave bit-identical final stores under both drivers.
 //!
 //! Timing differs wildly (virtual LAN latencies vs OS scheduling), so
 //! per-transaction latencies and journal *entry order* are driver-specific.
@@ -17,7 +16,7 @@ use threev_core::client::Arrival;
 use threev_core::cluster::{build_actors, ClusterActor, ClusterConfig, ThreeVCluster};
 use threev_core::node::ThreeVNode;
 use threev_model::{Key, TxnId, Value};
-use threev_runtime::{DeliveryMode, ThreadedRun};
+use threev_runtime::ThreadedRun;
 use threev_sim::{SimDuration, SimTime};
 use threev_workload::HospitalWorkload;
 
@@ -89,25 +88,21 @@ fn des_outcome(arrivals: Vec<Arrival>) -> Outcome {
     }
 }
 
-fn threaded_outcome(arrivals: Vec<Arrival>, mode: DeliveryMode) -> Outcome {
+fn threaded_outcome(arrivals: Vec<Arrival>) -> Outcome {
     let w = workload();
     let cfg = ClusterConfig::new(w.departments)
         .backend(threev::testutil::backend_from_env("driver-eq-threaded"));
     let actors = build_actors(&w.schema(), &cfg, arrivals);
-    let (actors, report) = ThreadedRun::run_with(
+    let (actors, report) = ThreadedRun::run(
         actors,
         cfg.sim.clone(),
-        mode,
         // The 50ms arrival window plus a wide completion margin: CI boxes
         // under load must still drain every in-flight tree.
         Duration::from_millis(400),
         Duration::from_millis(300),
     );
     let batches: u64 = report.batches_per_actor.iter().sum();
-    match mode {
-        DeliveryMode::Batched => assert!(batches > 0, "batched run must batch"),
-        DeliveryMode::PerMessage => assert_eq!(batches, 0, "per-message run must not batch"),
-    }
+    assert!(batches > 0, "threaded run must batch");
     // The unified transport with faults disabled must behave as a pure
     // pipe on the wire, too: no drops, duplicates, or fault reorderings.
     let mut totals = threev_sim::LinkStats::default();
@@ -130,7 +125,7 @@ fn threaded_outcome(arrivals: Vec<Arrival>, mode: DeliveryMode) -> Outcome {
                     assert_eq!(
                         r.status,
                         TxnStatus::Committed,
-                        "txn {:?} unfinished under {mode:?} — raise the drain margin?",
+                        "txn {:?} unfinished — raise the drain margin?",
                         r.id
                     );
                     committed.push(r.id);
@@ -155,11 +150,9 @@ fn des_and_threads_reach_identical_stores() {
         "DES commits everything"
     );
 
-    for mode in [DeliveryMode::Batched, DeliveryMode::PerMessage] {
-        let threaded = threaded_outcome(arrivals.clone(), mode);
-        assert_eq!(des.committed, threaded.committed, "{mode:?}: txn sets");
-        for (i, (d, t)) in des.stores.iter().zip(&threaded.stores).enumerate() {
-            assert_eq!(d, t, "{mode:?}: node {i} store diverged");
-        }
+    let threaded = threaded_outcome(arrivals);
+    assert_eq!(des.committed, threaded.committed, "txn sets");
+    for (i, (d, t)) in des.stores.iter().zip(&threaded.stores).enumerate() {
+        assert_eq!(d, t, "node {i} store diverged");
     }
 }

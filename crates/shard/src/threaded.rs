@@ -66,6 +66,10 @@ pub fn run_sharded_threaded(
     drain: Duration,
 ) -> (Vec<TxnRecord>, ThreadedReport) {
     let actors = build_sharded_actors(schema, cfg, arrivals);
+    // lint-allow(panic-hygiene): the runtime panics only to re-raise an
+    // actor thread's own panic at join (or if a one-actor partition
+    // returns no actor); this wall-clock driver is a harness entry point,
+    // not a protocol message path.
     let (actors, report) = ThreadedRun::run(actors, cfg.sim.clone(), duration, drain);
     let mut records = Vec::new();
     for actor in actors {

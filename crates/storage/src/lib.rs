@@ -36,7 +36,6 @@ pub mod locks;
 pub mod paged;
 pub mod record;
 pub mod store;
-pub mod stripe;
 pub mod undo;
 pub mod wire;
 
@@ -45,5 +44,4 @@ pub use locks::{LockDecision, LockMode, LockTable};
 pub use paged::{PageAllocator, PagedBackend, PAGE_SIZE};
 pub use record::{GcAction, UpdateOutcome, VersionedRecord};
 pub use store::{Store, StoreError, StoreStats};
-pub use stripe::{stripe_of, StripedLocks, StripedStore};
 pub use undo::UndoLog;

@@ -11,12 +11,17 @@
 //! same per-node version state and store layouts, same kernel statistics
 //! (save for the batch counters themselves, which exist only to report
 //! amortisation).
+//!
+//! The same harness pins the stage profiler's freedom: `ProfileMode::On`
+//! only reads an injected clock and bumps counters nothing consults, so a
+//! profiled run must fingerprint identically to `ProfileMode::Off`.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use threev::core::advance::AdvancementPolicy;
 use threev::core::cluster::{ClusterConfig, ThreeVCluster};
+use threev::core::node::{ProfileMode, Stage};
 use threev::model::NodeId;
 use threev::sim::{FaultPlane, LatencyModel, SimConfig, SimDuration, SimTime};
 use threev::storage::BackendConfig;
@@ -77,7 +82,7 @@ struct Fingerprint {
     advancements: usize,
 }
 
-fn run(s: &Scenario, batch: bool, backend: BackendConfig) -> Fingerprint {
+fn run(s: &Scenario, batch: bool, profile: ProfileMode, backend: BackendConfig) -> Fingerprint {
     let workload = HospitalWorkload {
         departments: s.n_nodes,
         patients: 20,
@@ -119,6 +124,7 @@ fn run(s: &Scenario, batch: bool, backend: BackendConfig) -> Fingerprint {
         protocol: Default::default(),
     }
     .backend(backend)
+    .profile(profile)
     .advancement(AdvancementPolicy::Periodic {
         first: SimDuration::from_millis(s.adv_period_ms),
         period: SimDuration::from_millis(s.adv_period_ms),
@@ -171,8 +177,18 @@ fn check(s: &Scenario) {
     // `THREEV_BACKEND=paged` reruns the whole suite over the on-disk
     // backend (fresh scratch dir per run); unset/`mem` keeps the
     // historical in-memory runs.
-    let per_message = run(s, false, threev::testutil::backend_from_env("batch-eq"));
-    let batched = run(s, true, threev::testutil::backend_from_env("batch-eq"));
+    let per_message = run(
+        s,
+        false,
+        ProfileMode::Off,
+        threev::testutil::backend_from_env("batch-eq"),
+    );
+    let batched = run(
+        s,
+        true,
+        ProfileMode::Off,
+        threev::testutil::backend_from_env("batch-eq"),
+    );
     assert_eq!(per_message, batched, "batched run diverged for {s:?}");
 }
 
@@ -235,8 +251,87 @@ fn paged_backend_is_observationally_identical() {
     };
     let dir = std::env::temp_dir().join(format!("threev-batch-eq-xb-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mem = run(&s, true, BackendConfig::Mem);
-    let paged = run(&s, true, BackendConfig::Paged { dir: dir.clone() });
+    let mem = run(&s, true, ProfileMode::Off, BackendConfig::Mem);
+    let paged = run(
+        &s,
+        true,
+        ProfileMode::Off,
+        BackendConfig::Paged { dir: dir.clone() },
+    );
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(mem, paged, "paged backend diverged for {s:?}");
+}
+
+/// Deterministic injected clock for the profiler guards: strictly
+/// monotone, no wall-clock dependence.
+fn counting_clock() -> u64 {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static T: AtomicU64 = AtomicU64::new(0);
+    T.fetch_add(1, Ordering::Relaxed)
+}
+
+/// `ProfileMode::Off` must be bit-identical to a profiled run: the hooks
+/// read a clock and bump counters nothing in the engine consults.
+#[test]
+fn profiler_is_free() {
+    let s = Scenario {
+        n_nodes: 4,
+        rate: 2_500.0,
+        seed: 0xF0F,
+        adv_period_ms: 10,
+        jitter_max_us: 3_000,
+        fail_ppm: 40_000,
+        fifo: false,
+    };
+    for batch in [false, true] {
+        let off = run(&s, batch, ProfileMode::Off, BackendConfig::Mem);
+        let on = run(
+            &s,
+            batch,
+            ProfileMode::On(counting_clock),
+            BackendConfig::Mem,
+        );
+        assert_eq!(off, on, "profiling changed behaviour (batch={batch})");
+    }
+}
+
+/// A profiled node actually accumulates a breakdown, so the guard above
+/// cannot pass vacuously.
+#[test]
+fn profiler_accumulates_when_on() {
+    let workload = HospitalWorkload {
+        departments: 2,
+        patients: 20,
+        rate_tps: 1_000.0,
+        read_pct: 30,
+        max_fanout: 2,
+        duration: SimDuration::from_millis(100),
+        zipf_s: 0.9,
+        seed: 3,
+    };
+    let cfg = ClusterConfig::new(2)
+        .seed(3)
+        .profile(ProfileMode::On(counting_clock));
+    let mut cluster = ThreeVCluster::new(&workload.schema(), cfg, workload.arrivals());
+    cluster.run_until(SimTime(1_000_000));
+    let b = cluster
+        .node(0)
+        .stage_breakdown()
+        .expect("profiled node has a breakdown");
+    assert!(
+        b.calls[Stage::Dispatch as usize] > 0,
+        "dispatch envelope must tick: {b:?}"
+    );
+    assert!(
+        b.ns[Stage::Dispatch as usize] > 0,
+        "injected clock must advance the envelope: {b:?}"
+    );
+    assert!(
+        b.other_ns() <= b.total_ns(),
+        "nested stages cannot exceed the envelope"
+    );
+    assert!(
+        cluster.node(1).stage_breakdown().is_some(),
+        "every node of a profiled cluster is profiled"
+    );
 }

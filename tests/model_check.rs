@@ -31,27 +31,6 @@ fn exhaustive_two_node_basic_is_clean() {
     );
 }
 
-/// Exhaustive DFS over the striped two-node scenario at the same CI
-/// budget: both stripes of node 0 advancing interleaved with cross-node
-/// trees must leave P1/P2/P5 and the Thm 4.1 audit intact under every
-/// explored interleaving — striping is layout, the version window stays
-/// per-node.
-#[test]
-fn exhaustive_stripe_interleave_is_clean() {
-    let sc = scenario::find("stripe-interleave").expect("catalogue scenario");
-    let out = explore_exhaustive(sc, 3, 2_000, 400);
-    assert!(
-        out.violation.is_none(),
-        "exhaustive exploration found a violation: {:?}",
-        out.violation
-    );
-    assert!(
-        out.schedules >= 150,
-        "expected >= 150 distinct schedules under the pinned budget, got {}",
-        out.schedules
-    );
-}
-
 /// Quick random gate across every sound scenario — the same sweep CI runs
 /// in the main job, at a smaller per-scenario budget.
 #[test]
