@@ -482,7 +482,7 @@ impl ThreeVNode {
         let chain_lengths: Vec<(Key, usize)> = self
             .store
             .iter_versions()
-            .map(|(k, rec)| (k, rec.version_count()))
+            .map(|(k, chain)| (k, chain.count()))
             .collect();
         let mut exclusive_held = Vec::new();
         let mut lock_waiters = 0usize;

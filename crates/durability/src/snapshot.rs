@@ -119,14 +119,7 @@ impl Snapshot {
         let mut store = Vec::with_capacity(n_keys);
         for _ in 0..n_keys {
             let key = r.key()?;
-            let n_versions = r.read_len()?;
-            let mut versions = Vec::with_capacity(n_versions);
-            for _ in 0..n_versions {
-                let v = r.version()?;
-                let val = r.value()?;
-                versions.push((v, val));
-            }
-            store.push((key, versions));
+            store.push((key, r.chain()?));
         }
         let n_counter_rows = r.read_len()?;
         let mut counters = Vec::with_capacity(n_counter_rows);
@@ -266,6 +259,26 @@ mod tests {
         let mut bytes = sample().encode();
         bytes[0] = 0xFF;
         assert!(Snapshot::decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn invalid_chain_layouts_rejected() {
+        let chain = |versions: &[u32]| {
+            versions
+                .iter()
+                .map(|v| (VersionNo(*v), Value::Counter(0)))
+                .collect()
+        };
+        for versions in [&[][..], &[2, 1], &[1, 1], &[0, 1, 2, 3]] {
+            let snap = Snapshot {
+                store: vec![(Key(1), chain(versions))],
+                ..sample()
+            };
+            assert!(
+                Snapshot::decode(&snap.encode()).is_err(),
+                "{versions:?} decoded"
+            );
+        }
     }
 
     #[test]

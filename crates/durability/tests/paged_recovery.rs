@@ -119,7 +119,7 @@ fn control_snapshot(vu: VersionNo) -> Snapshot {
 fn image(store: &Store<PagedBackend>) -> Vec<String> {
     store
         .iter_versions()
-        .map(|(key, rec)| format!("{key:?} => {rec:?}"))
+        .map(|(key, chain)| format!("{key:?} => {:?}", chain.collect::<Vec<_>>()))
         .collect()
 }
 

@@ -28,18 +28,20 @@ use crate::record::VersionedRecord;
 ///
 /// The contract mirrors the handful of map operations the §4 rules need.
 /// Backends with durable state additionally track a *dirty set* (every
-/// record touched through [`get_mut`](StorageBackend::get_mut) /
-/// [`insert`](StorageBackend::insert) / a modifying
-/// [`visit_mut`](StorageBackend::visit_mut) callback) and persist exactly
-/// that set on [`flush`](StorageBackend::flush) — the incremental-checkpoint
-/// seam.
+/// record written through [`get_mut`](StorageBackend::get_mut) /
+/// [`insert`](StorageBackend::insert)) and persist exactly that set, plus
+/// the store's read floor, on [`flush`](StorageBackend::flush) — the
+/// incremental-checkpoint seam. GC writes no record: the store applies the
+/// floor, and re-derives its compactions at open (see
+/// [`Store::gc`](crate::Store::gc)).
 pub trait StorageBackend: Send + std::fmt::Debug {
     /// Read one record.
     fn get(&self, key: Key) -> Option<&VersionedRecord>;
 
-    /// Mutable access to one record. A durable backend marks the record
-    /// dirty — callers only take `get_mut` on paths that write.
-    fn get_mut(&mut self, key: Key) -> Option<&mut VersionedRecord>;
+    /// Mutable access to one record. With `dirty`, a durable backend
+    /// rewrites it at the next flush; without, the change must be one that
+    /// reopening re-derives (GC compaction, see [`Store::gc`](crate::Store::gc)).
+    fn get_mut(&mut self, key: Key, dirty: bool) -> Option<&mut VersionedRecord>;
 
     /// Insert (or replace) a record, marking it dirty.
     fn insert(&mut self, key: Key, rec: VersionedRecord);
@@ -55,18 +57,14 @@ pub trait StorageBackend: Send + std::fmt::Debug {
     /// Iterate all records in key order.
     fn iter(&self) -> btree_map::Iter<'_, Key, VersionedRecord>;
 
-    /// Visit every record mutably, in key order. The callback returns
-    /// `true` when it modified the record, which marks it dirty in durable
-    /// backends.
-    fn visit_mut(&mut self, f: &mut dyn FnMut(Key, &mut VersionedRecord) -> bool);
+    /// The persisted read floor of the store (0 for volatile backends).
+    fn floor(&self) -> VersionNo {
+        VersionNo::ZERO
+    }
 
-    /// A §4.3 GC sweep at `vr_new` just ran over every record. Durable
-    /// backends persist the highest floor instead of dirtying the swept
-    /// chains: the sweep is deterministic from `(record, vr_new)`, so it
-    /// is re-derived at open rather than rewritten on disk (see
-    /// [`crate::paged`] module docs).
-    fn note_gc(&mut self, vr_new: VersionNo) {
-        let _ = vr_new;
+    /// The store raised its read floor; persist it with the next flush.
+    fn set_floor(&mut self, floor: VersionNo) {
+        let _ = floor;
     }
 
     /// Persist every dirty record and stamp the durable image with `lsn`.
@@ -105,7 +103,7 @@ impl StorageBackend for MemBackend {
         self.records.get(&key)
     }
 
-    fn get_mut(&mut self, key: Key) -> Option<&mut VersionedRecord> {
+    fn get_mut(&mut self, key: Key, _dirty: bool) -> Option<&mut VersionedRecord> {
         self.records.get_mut(&key)
     }
 
@@ -119,12 +117,6 @@ impl StorageBackend for MemBackend {
 
     fn iter(&self) -> btree_map::Iter<'_, Key, VersionedRecord> {
         self.records.iter()
-    }
-
-    fn visit_mut(&mut self, f: &mut dyn FnMut(Key, &mut VersionedRecord) -> bool) {
-        for (k, rec) in self.records.iter_mut() {
-            f(*k, rec);
-        }
     }
 }
 
@@ -147,10 +139,10 @@ impl StorageBackend for AnyBackend {
         }
     }
 
-    fn get_mut(&mut self, key: Key) -> Option<&mut VersionedRecord> {
+    fn get_mut(&mut self, key: Key, dirty: bool) -> Option<&mut VersionedRecord> {
         match self {
-            AnyBackend::Mem(b) => b.get_mut(key),
-            AnyBackend::Paged(b) => b.get_mut(key),
+            AnyBackend::Mem(b) => b.get_mut(key, dirty),
+            AnyBackend::Paged(b) => b.get_mut(key, dirty),
         }
     }
 
@@ -175,17 +167,17 @@ impl StorageBackend for AnyBackend {
         }
     }
 
-    fn visit_mut(&mut self, f: &mut dyn FnMut(Key, &mut VersionedRecord) -> bool) {
+    fn floor(&self) -> VersionNo {
         match self {
-            AnyBackend::Mem(b) => b.visit_mut(f),
-            AnyBackend::Paged(b) => b.visit_mut(f),
+            AnyBackend::Mem(b) => b.floor(),
+            AnyBackend::Paged(b) => b.floor(),
         }
     }
 
-    fn note_gc(&mut self, vr_new: VersionNo) {
+    fn set_floor(&mut self, floor: VersionNo) {
         match self {
-            AnyBackend::Mem(b) => b.note_gc(vr_new),
-            AnyBackend::Paged(b) => b.note_gc(vr_new),
+            AnyBackend::Mem(b) => b.set_floor(floor),
+            AnyBackend::Paged(b) => b.set_floor(floor),
         }
     }
 
@@ -289,12 +281,7 @@ mod tests {
         b.insert(Key(9), VersionedRecord::initial(Value::Counter(1)));
         assert_eq!(b.len(), 1);
         assert_eq!(b.iter().count(), 1);
-        let mut touched = 0;
-        b.visit_mut(&mut |_, _| {
-            touched += 1;
-            false
-        });
-        assert_eq!(touched, 1);
+        assert_eq!(b.floor(), VersionNo::ZERO);
         assert!(!b.persists_chains());
     }
 

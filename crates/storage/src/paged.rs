@@ -38,17 +38,18 @@
 //! deterministic; the disk image is only read again at
 //! [`PagedBackend::open`] (recovery).
 //!
-//! **GC renames are metadata, not data.** A §4.3 Phase-4 sweep renames the
-//! surviving version of *every* record whose chain predates the new read
-//! version — naively that dirties the whole store on every advancement and
-//! incremental checkpointing degenerates to full rewrites. But the sweep
-//! is a deterministic function of `(record, vr_new)`, so the backend
-//! persists only the highest swept version (`vr_floor` in the meta) and
-//! re-applies `VersionedRecord::gc(vr_floor)` to each chain at open. Only
-//! records whose *bytes changed for any other reason* (updates, restores)
-//! are marked dirty; `gc` is idempotent and composable over monotone
-//! versions, so replaying the floor over an already-swept or
-//! freshly-flushed record is a no-op.
+//! **GC renames are metadata, not data.** A §4.3 Phase-4 GC renames the
+//! surviving version of every record whose chain predates the new read
+//! version; rewriting those would dirty the whole store on every
+//! advancement. Instead the store keeps a *read floor* — a chain's lowest
+//! label reads as `max(label, floor)` — so renaming an untouched chain is
+//! raising the floor (see [`crate::Store::gc`]). This backend persists only
+//! the floor (`vr_floor` in the meta) and hands it back at open; pages keep
+//! the chains as last written. Nor does GC dirty the chains it compacts
+//! (those written since the last GC): the compaction is a deterministic
+//! function of the chain and the floor, composable over rising floors, and
+//! the store re-runs the same pass over every unsettled chain at open.
+//! Only writes dirty a record.
 
 use std::collections::{btree_map, BTreeMap, BTreeSet};
 use std::fs::{self, File, OpenOptions};
@@ -144,8 +145,7 @@ pub struct PagedBackend {
     directory: BTreeMap<Key, Vec<u32>>,
     alloc: PageAllocator,
     lsn: u64,
-    /// Highest GC sweep seen; persisted in the meta and re-applied to
-    /// every chain at open (see the module docs).
+    /// The store's read floor, persisted in the meta (see the module docs).
     vr_floor: VersionNo,
 }
 
@@ -155,14 +155,10 @@ fn corrupt(what: impl std::fmt::Display) -> io::Error {
 
 /// Encode one record as a self-describing page payload.
 fn encode_record(key: Key, rec: &VersionedRecord) -> Vec<u8> {
-    let pairs: Vec<_> = rec
-        .version_numbers()
-        .filter_map(|v| rec.value_at(v).map(|val| (v, val)))
-        .collect();
     let mut w = ByteWriter::new();
     w.key(key);
-    w.len(pairs.len());
-    for (v, val) in pairs {
+    w.len(rec.version_count());
+    for (v, val) in rec.floored(VersionNo::ZERO) {
         w.version(v);
         w.value(val);
     }
@@ -173,16 +169,7 @@ fn encode_record(key: Key, rec: &VersionedRecord) -> Vec<u8> {
 fn decode_record(payload: &[u8]) -> Result<(Key, VersionedRecord), WireError> {
     let mut r = ByteReader::new(payload);
     let key = r.key()?;
-    let n = r.read_len()?;
-    if !(1..=crate::record::MAX_VERSIONS).contains(&n) {
-        return Err(WireError("record version count out of range"));
-    }
-    let mut versions = Vec::with_capacity(n);
-    for _ in 0..n {
-        let v = r.version()?;
-        let val = r.value()?;
-        versions.push((v, val));
-    }
+    let versions = r.chain()?;
     if !r.is_exhausted() {
         return Err(WireError("trailing bytes after record"));
     }
@@ -237,7 +224,11 @@ fn decode_meta(bytes: &[u8]) -> Result<Meta, WireError> {
     let mut frame = ByteReader::new(bytes);
     let len = frame.read_len()?;
     let cks = frame.u32()?;
-    let payload = &bytes[8..8 + len];
+    // `read_len` counted the checksum as remaining input, so a frame cut
+    // short by up to four bytes still passes it.
+    let payload = bytes
+        .get(8..8 + len)
+        .ok_or(WireError("meta shorter than its frame"))?;
     if checksum(payload) != cks {
         return Err(WireError("meta checksum mismatch"));
     }
@@ -331,15 +322,10 @@ impl PagedBackend {
         let mut cache = BTreeMap::new();
         for (key, page_list) in &meta.directory {
             let payload = read_chain(&mut pages, page_list)?;
-            let (k, mut rec) = decode_record(&payload).map_err(corrupt)?;
+            let (k, rec) = decode_record(&payload).map_err(corrupt)?;
             if k != *key {
                 return Err(corrupt(format!("directory says {key:?}, page says {k:?}")));
             }
-            // Replay the persisted GC floor: sweeps do not rewrite pages
-            // (module docs), so the on-disk chain may predate the last
-            // advancement's rename. No dirty marking — the page image is
-            // still canonical for this floor.
-            rec.gc(meta.vr_floor);
             cache.insert(*key, rec);
         }
         Ok(PagedBackend {
@@ -453,9 +439,11 @@ impl StorageBackend for PagedBackend {
         self.cache.get(&key)
     }
 
-    fn get_mut(&mut self, key: Key) -> Option<&mut VersionedRecord> {
+    fn get_mut(&mut self, key: Key, dirty: bool) -> Option<&mut VersionedRecord> {
         let rec = self.cache.get_mut(&key)?;
-        self.dirty.insert(key);
+        if dirty {
+            self.dirty.insert(key);
+        }
         Some(rec)
     }
 
@@ -472,16 +460,12 @@ impl StorageBackend for PagedBackend {
         self.cache.iter()
     }
 
-    fn visit_mut(&mut self, f: &mut dyn FnMut(Key, &mut VersionedRecord) -> bool) {
-        for (k, rec) in self.cache.iter_mut() {
-            if f(*k, rec) {
-                self.dirty.insert(*k);
-            }
-        }
+    fn floor(&self) -> VersionNo {
+        self.vr_floor
     }
 
-    fn note_gc(&mut self, vr_new: VersionNo) {
-        self.vr_floor = self.vr_floor.max(vr_new);
+    fn set_floor(&mut self, floor: VersionNo) {
+        self.vr_floor = floor;
     }
 
     fn flush(&mut self, lsn: u64) -> u64 {
@@ -504,6 +488,7 @@ impl StorageBackend for PagedBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Store;
     use threev_model::{NodeId, TxnId, UpdateOp, Value, VersionNo};
 
     fn tdir(name: &str) -> PathBuf {
@@ -522,7 +507,7 @@ mod tests {
         let mut b = PagedBackend::open(&dir).unwrap();
         b.insert(Key(1), rec(10));
         b.insert(Key(2), rec(20));
-        b.get_mut(Key(1))
+        b.get_mut(Key(1), true)
             .unwrap()
             .update(
                 Key(1),
@@ -571,7 +556,7 @@ mod tests {
         b.insert(Key(5), VersionedRecord::initial(Value::Journal(Vec::new())));
         // ~40 journal entries at 22 bytes each: several pages.
         for i in 0..40 {
-            b.get_mut(Key(5))
+            b.get_mut(Key(5), true)
                 .unwrap()
                 .update(
                     Key(5),
@@ -593,7 +578,6 @@ mod tests {
         );
         // Shrink the record sharply (GC to a renamed single version after
         // assigning a small value) and check pages return to the free list.
-        b2.get_mut(Key(5)).unwrap();
         *b2.cache.get_mut(&Key(5)).unwrap() =
             VersionedRecord::from_versions(vec![(VersionNo(2), Value::Counter(0))]);
         b2.dirty.insert(Key(5));
@@ -647,31 +631,114 @@ mod tests {
         assert!(PagedBackend::open(&dir).is_err());
     }
 
-    #[test]
-    fn gc_floor_persists_without_dirtying_chains() {
-        let dir = tdir("gc-floor");
-        let mut b = PagedBackend::open(&dir).unwrap();
-        b.insert(Key(1), rec(10)); // single version 0
-        b.flush(1);
-        // A §4.3 sweep at v3 renames Key(1)'s version 0 -> 3 in memory.
-        // The backend records only the floor; the chain stays clean.
-        b.get_mut(Key(1)).unwrap().gc(VersionNo(3));
-        b.dirty.clear();
-        b.note_gc(VersionNo(3));
-        assert_eq!(b.dirty_count(), 0);
-        b.note_gc(VersionNo(2)); // floors are monotone: lower is a no-op
-        b.flush(2);
-        drop(b);
+    /// A paged store holding a single-version chain (`Key(1)`, never
+    /// written) and a chain written at v1 and v2, flushed at LSN 1 and then
+    /// collected at v1: `Key(2)` keeps two versions across the GC.
+    fn gc_scenario(dir: &Path) -> Store<PagedBackend> {
+        let mut store = Store::on_backend(PagedBackend::open(dir).unwrap(), NodeId(0));
+        store.insert_initial(Key(1), Value::Counter(10));
+        store.insert_initial(Key(2), Value::Counter(20));
+        for (seq, v) in [(1, 1), (2, 2)] {
+            store
+                .update(
+                    Key(2),
+                    VersionNo(v),
+                    UpdateOp::Add(1),
+                    TxnId::new(seq, NodeId(0)),
+                    None,
+                )
+                .unwrap();
+        }
+        store.flush_dirty(1);
+        store.gc(VersionNo(1));
+        store
+    }
 
-        // Reopen re-derives the rename from the persisted floor, so the
-        // cache matches the pre-crash in-memory image bit for bit.
-        let b2 = PagedBackend::open(&dir).unwrap();
-        assert_eq!(b2.vr_floor, VersionNo(3));
+    fn reopen(dir: &Path) -> Store<PagedBackend> {
+        Store::on_backend(PagedBackend::open(dir).unwrap(), NodeId(0))
+    }
+
+    #[test]
+    fn gc_then_flush_reopens_to_the_same_layouts() {
+        let dir = tdir("gc-flush");
+        let mut store = gc_scenario(&dir);
+        let before = store.export_parts();
+        assert_eq!(before[0].1, vec![(VersionNo(1), Value::Counter(10))]);
         assert_eq!(
-            b2.get(Key(1)).unwrap().value_at(VersionNo(3)),
-            Some(&Value::Counter(10))
+            before[1].1.iter().map(|(v, _)| v.0).collect::<Vec<_>>(),
+            vec![1, 2]
         );
-        assert_eq!(b2.get(Key(1)).unwrap().version_count(), 1);
+        // GC dirtied nothing: reopening re-derives it from the floor.
+        assert_eq!(store.backend().dirty_count(), 0);
+        store.flush_dirty(2);
+        drop(store);
+
+        let store = reopen(&dir);
+        assert_eq!(store.backend().floor(), VersionNo(1));
+        assert_eq!(store.export_parts(), before);
+        assert_eq!(store.stats().max_versions_of_any_item, 2);
+    }
+
+    #[test]
+    fn gc_lost_to_a_crash_is_replayed_to_the_same_layouts() {
+        let reference = gc_scenario(&tdir("gc-no-crash"));
+        let dir = tdir("gc-crash");
+        drop(gc_scenario(&dir)); // crash: the GC after the last flush is lost
+        let mut store = reopen(&dir);
+        assert_eq!(store.backend().floor(), VersionNo(0));
+        store.gc(VersionNo(1)); // WAL replay of the lost GC
+        assert_eq!(store.export_parts(), reference.export_parts());
+        assert_eq!(store.stats().gc_renamed, reference.stats().gc_renamed);
+        assert_eq!(store.stats().gc_dropped, reference.stats().gc_dropped);
+    }
+
+    #[test]
+    fn short_meta_fails_with_invalid_data() {
+        let dir = tdir("short-meta");
+        let mut b = PagedBackend::open(&dir).unwrap();
+        b.insert(Key(1), rec(1));
+        b.flush(1);
+        drop(b);
+        let meta = fs::read(dir.join("meta.bin")).unwrap();
+        for cut in 1..=4 {
+            fs::write(dir.join("meta.bin"), &meta[..meta.len() - cut]).unwrap();
+            let err = PagedBackend::open(&dir).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn invalid_chain_layouts_fail_with_invalid_data() {
+        let dir = tdir("bad-chain");
+        let mut b = PagedBackend::open(&dir).unwrap();
+        b.insert(Key(1), rec(1));
+        b.flush(1);
+        let page = b.directory[&Key(1)][0];
+        drop(b);
+        for versions in [vec![], vec![2, 1], vec![1, 1], vec![0, 1, 2, 3]] {
+            let mut w = ByteWriter::new();
+            w.key(Key(1));
+            w.len(versions.len());
+            for v in &versions {
+                w.version(VersionNo(*v));
+                w.value(&Value::Counter(0));
+            }
+            let payload = w.into_bytes();
+            let mut buf = [0u8; PAGE_SIZE];
+            buf[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+            buf[4..8].copy_from_slice(&checksum(&payload).to_le_bytes());
+            buf[PAGE_HEADER..PAGE_HEADER + payload.len()].copy_from_slice(&payload);
+            let mut f = OpenOptions::new()
+                .write(true)
+                .open(dir.join("pages.bin"))
+                .unwrap();
+            f.seek(SeekFrom::Start(u64::from(page) * PAGE_SIZE as u64))
+                .unwrap();
+            f.write_all(&buf).unwrap();
+            drop(f);
+            let err = PagedBackend::open(&dir).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{versions:?}");
+        }
     }
 
     #[test]

@@ -79,9 +79,18 @@ impl VersionedRecord {
         self.versions.len()
     }
 
-    /// The live version numbers, ascending.
-    pub fn version_numbers(&self) -> impl Iterator<Item = VersionNo> + '_ {
-        self.versions.iter().map(|(v, _)| *v)
+    /// The `(version, value)` pairs, ascending, under a store read floor:
+    /// the lowest label reads as `max(label, floor)`, the rename a GC at
+    /// `floor` would make (see [`crate::store::Store::gc`]). Floor 0 gives
+    /// the chain as stored.
+    pub fn floored(
+        &self,
+        floor: VersionNo,
+    ) -> impl DoubleEndedIterator<Item = (VersionNo, &Value)> + '_ {
+        self.versions
+            .iter()
+            .enumerate()
+            .map(move |(i, (w, val))| (if i == 0 { (*w).max(floor) } else { *w }, val))
     }
 
     /// Largest live version number.
@@ -102,20 +111,14 @@ impl VersionedRecord {
 
     /// Value stored under exactly version `v`, if present.
     pub fn value_at(&self, v: VersionNo) -> Option<&Value> {
-        self.versions
-            .iter()
-            .find(|(w, _)| *w == v)
-            .map(|(_, val)| val)
+        let mut chain = self.floored(VersionNo::ZERO);
+        chain.find(|(w, _)| *w == v).map(|(_, val)| val)
     }
 
     /// Read rule (§4.1 step 3): the maximum existing version of the item
     /// that does not exceed `v`.
     pub fn read_visible(&self, v: VersionNo) -> Option<(VersionNo, &Value)> {
-        self.versions
-            .iter()
-            .rev()
-            .find(|(w, _)| *w <= v)
-            .map(|(w, val)| (*w, val))
+        self.floored(VersionNo::ZERO).rev().find(|(w, _)| *w <= v)
     }
 
     /// Update rule (§4.1 step 4), for transaction `txn` at version `v` on
@@ -133,23 +136,12 @@ impl VersionedRecord {
         op: UpdateOp,
         txn: TxnId,
     ) -> Result<UpdateOutcome, StoreError> {
-        let mut created_version = false;
-        if !self.exists(v) {
-            let (_, base) = self.read_visible(v).ok_or(StoreError::NoVisibleVersion {
-                key,
-                version: v,
-                window: None,
-            })?;
-            let copy = base.clone();
-            let pos = self.versions.partition_point(|(w, _)| *w < v);
-            self.versions.insert(pos, (v, copy));
-            created_version = true;
-            debug_assert!(
-                self.versions.len() <= MAX_VERSIONS,
-                "3V bound violated for {key}: {:?}",
-                self.versions.iter().map(|(w, _)| *w).collect::<Vec<_>>()
-            );
-        }
+        let created_version = self.copy_on_update(key, v)?;
+        debug_assert!(
+            !created_version || self.versions.len() <= MAX_VERSIONS,
+            "3V bound violated for {key}: {:?}",
+            self.versions.iter().map(|(w, _)| *w).collect::<Vec<_>>()
+        );
         let mut versions_written = 0u8;
         for (w, val) in self.versions.iter_mut() {
             if *w >= v {
@@ -162,6 +154,23 @@ impl VersionedRecord {
             created_version,
             versions_written,
         })
+    }
+
+    /// Copy-on-update (§2.1): if `x(v)` does not exist, create it from the
+    /// maximum existing version ≤ `v`. Returns whether it created `x(v)`.
+    fn copy_on_update(&mut self, key: Key, v: VersionNo) -> Result<bool, StoreError> {
+        if self.exists(v) {
+            return Ok(false);
+        }
+        let (_, base) = self.read_visible(v).ok_or(StoreError::NoVisibleVersion {
+            key,
+            version: v,
+            window: None,
+        })?;
+        let copy = base.clone();
+        let pos = self.versions.partition_point(|(w, _)| *w < v);
+        self.versions.insert(pos, (v, copy));
+        Ok(true)
     }
 
     /// Update exactly version `v` (creating it by copy-on-update if
@@ -178,26 +187,15 @@ impl VersionedRecord {
         op: UpdateOp,
         txn: TxnId,
     ) -> Result<UpdateOutcome, StoreError> {
-        let mut created_version = false;
-        if !self.exists(v) {
-            let (_, base) = self.read_visible(v).ok_or(StoreError::NoVisibleVersion {
-                key,
-                version: v,
-                window: None,
-            })?;
-            let copy = base.clone();
-            let pos = self.versions.partition_point(|(w, _)| *w < v);
-            self.versions.insert(pos, (v, copy));
-            created_version = true;
-        }
+        let created_version = self.copy_on_update(key, v)?;
         let Some(slot) = self
             .versions
             .iter_mut()
             .find(|(w, _)| *w == v)
             .map(|(_, val)| val)
         else {
-            // Ensured three lines up; failing here would be a defect in
-            // `ensure_version`, surfaced as an error instead of a panic.
+            // Ensured just above; failing here would be a defect in
+            // `copy_on_update`, surfaced as an error instead of a panic.
             return Err(StoreError::NoVisibleVersion {
                 key,
                 version: v,
@@ -437,7 +435,7 @@ mod tests {
         let mut r = VersionedRecord::initial(Value::Counter(0));
         r.update(K, v(2), UpdateOp::Add(1), t(1)).unwrap();
         r.update(K, v(1), UpdateOp::Add(1), t(2)).unwrap();
-        let nums: Vec<VersionNo> = r.version_numbers().collect();
+        let nums: Vec<VersionNo> = r.floored(v(0)).map(|(w, _)| w).collect();
         assert_eq!(nums, vec![v(0), v(1), v(2)]);
     }
 }

@@ -2,6 +2,7 @@
 //! pluggable [`StorageBackend`] holding the [`VersionedRecord`]s, plus the
 //! statistics the experiments report on.
 
+use std::collections::BTreeSet;
 use std::fmt;
 
 use threev_model::{Key, NodeId, Schema, TxnId, UpdateOp, Value, VersionNo};
@@ -93,12 +94,16 @@ pub struct StoreStats {
     pub dual_writes: u64,
     /// High-water mark of live versions of any single item (X4: must be ≤ 3).
     pub max_versions_of_any_item: u32,
-    /// Garbage-collection sweeps run.
+    /// Garbage collections run.
     pub gc_runs: u64,
     /// Versions dropped by GC.
     pub gc_dropped: u64,
     /// Records renamed by GC (item had no copy at the new read version).
+    /// Derived: the chains outside the grown set when the floor rises,
+    /// plus the renames inside it — what a sweep of every record counts.
     pub gc_renamed: u64,
+    /// Records GC visited: the grown set, not the store (see [`Store::gc`]).
+    pub gc_visited: u64,
 }
 
 /// The node-local store, generic over where the chains live. Bare `Store`
@@ -108,7 +113,16 @@ pub struct StoreStats {
 pub struct Store<B: StorageBackend = MemBackend> {
     node: NodeId,
     backend: B,
+    /// Read floor: a chain's lowest label reads as `max(label, floor)`.
+    floor: VersionNo,
+    /// Keys written since the last GC, plus the chains GC left unsettled.
+    grown: BTreeSet<Key>,
     stats: StoreStats,
+}
+
+/// One version at or below the floor: raising the floor is its whole GC.
+fn settled(rec: &VersionedRecord, floor: VersionNo) -> bool {
+    rec.version_count() == 1 && rec.max_version() <= floor
 }
 
 impl Store<MemBackend> {
@@ -128,17 +142,11 @@ impl Store<MemBackend> {
     /// Statistics restart from the recovered layout: the historical
     /// counters died with the node.
     pub fn from_parts(node: NodeId, parts: Vec<(Key, Vec<(VersionNo, Value)>)>) -> Self {
-        let mut store = Store::empty(node);
+        let mut backend = MemBackend::default();
         for (key, versions) in parts {
-            store.stats.max_versions_of_any_item = store
-                .stats
-                .max_versions_of_any_item
-                .max(versions.len() as u32);
-            store
-                .backend
-                .insert(key, VersionedRecord::from_versions(versions));
+            backend.insert(key, VersionedRecord::from_versions(versions));
         }
-        store
+        Store::on_backend(backend, node)
     }
 
     /// Erase the backend type (the node engine's store is `Store<AnyBackend>`
@@ -147,20 +155,33 @@ impl Store<MemBackend> {
         Store {
             node: self.node,
             backend: AnyBackend::Mem(self.backend),
+            floor: self.floor,
+            grown: self.grown,
             stats: self.stats,
         }
     }
 }
 
 impl<B: StorageBackend> Store<B> {
-    /// Wrap an opened backend without touching its contents. The
-    /// max-versions high-water mark restarts from the recovered layout.
+    /// Wrap an opened backend at the floor it persisted; its unsettled
+    /// chains form the grown set, compacted as [`Store::gc`] compacts it.
+    /// Statistics restart from the recovered layout.
     pub fn on_backend(backend: B, node: NodeId) -> Self {
+        let floor = backend.floor();
+        let grown = backend
+            .iter()
+            .filter(|(_, rec)| !settled(rec, floor))
+            .map(|(key, _)| *key)
+            .collect();
         let mut store = Store {
             node,
             backend,
+            floor,
+            grown,
             stats: StoreStats::default(),
         };
+        store.compact(floor);
+        store.stats = StoreStats::default();
         store.stats.max_versions_of_any_item = store.current_max_versions() as u32;
         store
     }
@@ -172,9 +193,7 @@ impl<B: StorageBackend> Store<B> {
         let mut store = Store::on_backend(backend, node);
         if store.backend.is_empty() {
             for decl in schema.keys_on(node) {
-                store
-                    .backend
-                    .insert(decl.key, VersionedRecord::initial(decl.init.clone()));
+                store.insert_initial(decl.key, decl.init.clone());
             }
             store.stats.max_versions_of_any_item = 1;
         }
@@ -216,32 +235,14 @@ impl<B: StorageBackend> Store<B> {
     /// value cloned). Lets the node layer reject a malformed subtransaction
     /// *before* applying any of its steps, so rejection needs no undo.
     pub fn check_read(&self, key: Key, v: VersionNo) -> Result<(), StoreError> {
-        let rec = self
-            .backend
-            .get(key)
-            .ok_or(StoreError::UnknownKey { key })?;
-        rec.read_visible(v)
-            .map(|_| ())
-            .ok_or(StoreError::NoVisibleVersion {
-                key,
-                version: v,
-                window: None,
-            })
+        self.visible(key, v).map(|_| ())
     }
 
     /// Validate an update without applying it: the key is stored here, a
     /// base version is visible at `v`, and `op` applies to the stored value
     /// kind. Companion pre-pass to [`Store::check_read`].
     pub fn check_update(&self, key: Key, v: VersionNo, op: UpdateOp) -> Result<(), StoreError> {
-        let rec = self
-            .backend
-            .get(key)
-            .ok_or(StoreError::UnknownKey { key })?;
-        let (_, base) = rec.read_visible(v).ok_or(StoreError::NoVisibleVersion {
-            key,
-            version: v,
-            window: None,
-        })?;
+        let (_, base) = self.visible(key, v)?;
         if op.applies_to() != base.kind() {
             return Err(StoreError::Apply {
                 key,
@@ -258,17 +259,46 @@ impl<B: StorageBackend> Store<B> {
         key: Key,
         v: VersionNo,
     ) -> Result<(VersionNo, Value), StoreError> {
+        let (w, val) = self.visible(key, v).map(|(w, val)| (w, val.clone()))?;
+        self.stats.reads += 1;
+        Ok((w, val))
+    }
+
+    /// The chain of `key` as readers see it: the read floor applied.
+    fn chain(
+        &self,
+        key: Key,
+    ) -> Result<impl DoubleEndedIterator<Item = (VersionNo, &Value)> + '_, StoreError> {
         let rec = self
             .backend
             .get(key)
             .ok_or(StoreError::UnknownKey { key })?;
-        let (w, val) = rec.read_visible(v).ok_or(StoreError::NoVisibleVersion {
-            key,
-            version: v,
-            window: None,
-        })?;
-        self.stats.reads += 1;
-        Ok((w, val.clone()))
+        Ok(rec.floored(self.floor))
+    }
+
+    /// The read rule over [`Store::chain`]: maximum version ≤ `v`.
+    fn visible(&self, key: Key, v: VersionNo) -> Result<(VersionNo, &Value), StoreError> {
+        self.chain(key)?
+            .rev()
+            .find(|(w, _)| *w <= v)
+            .ok_or(StoreError::NoVisibleVersion {
+                key,
+                version: v,
+                window: None,
+            })
+    }
+
+    /// The chain of `key`, for a write. A key entering the grown set was
+    /// settled, so relabelling it to the floor is an O(1) GC.
+    fn chain_mut(&mut self, key: Key) -> Result<&mut VersionedRecord, StoreError> {
+        let rec = self
+            .backend
+            .get_mut(key, true)
+            .ok_or(StoreError::UnknownKey { key })?;
+        if self.grown.insert(key) {
+            rec.gc(self.floor);
+        }
+        Ok(rec)
     }
 
     /// Update rule (§4.1 step 4): ensure `x(v)` exists (copy-on-update),
@@ -282,35 +312,30 @@ impl<B: StorageBackend> Store<B> {
         txn: TxnId,
         undo: Option<&mut UndoLog>,
     ) -> Result<UpdateOutcome, StoreError> {
-        let rec = self
-            .backend
-            .get_mut(key)
-            .ok_or(StoreError::UnknownKey { key })?;
+        let rec = self.chain_mut(key)?;
         if let Some(log) = undo {
             // Record priors for all versions >= v, plus (if x(v) is about to
             // be created) a deletion entry for it.
             if !rec.exists(v) {
                 log.record_created(key, v);
             }
-            for w in rec.version_numbers().collect::<Vec<_>>() {
-                if w >= v {
-                    log.record_prior(key, w, rec.value_at(w).cloned());
-                }
+            for (w, val) in rec.floored(VersionNo::ZERO).filter(|(w, _)| *w >= v) {
+                log.record_prior(key, w, Some(val.clone()));
             }
         }
         let out = rec.update(key, v, op, txn)?;
+        let count = rec.version_count();
+        Ok(self.count_update(out, count))
+    }
+
+    /// Statistics for one applied update leaving `count` live versions.
+    fn count_update(&mut self, out: UpdateOutcome, count: usize) -> UpdateOutcome {
         self.stats.updates += 1;
-        if out.created_version {
-            self.stats.copies_created += 1;
-        }
-        if out.versions_written >= 2 {
-            self.stats.dual_writes += 1;
-        }
-        self.stats.max_versions_of_any_item = self
-            .stats
-            .max_versions_of_any_item
-            .max(rec.version_count() as u32);
-        Ok(out)
+        self.stats.copies_created += u64::from(out.created_version);
+        self.stats.dual_writes += u64::from(out.versions_written >= 2);
+        let high = &mut self.stats.max_versions_of_any_item;
+        *high = (*high).max(count as u32);
+        out
     }
 
     /// Update exactly version `v` of `key` (manual-versioning semantics:
@@ -323,67 +348,62 @@ impl<B: StorageBackend> Store<B> {
         op: UpdateOp,
         txn: TxnId,
     ) -> Result<UpdateOutcome, StoreError> {
-        let rec = self
-            .backend
-            .get_mut(key)
-            .ok_or(StoreError::UnknownKey { key })?;
+        let rec = self.chain_mut(key)?;
         let out = rec.update_exact(key, v, op, txn)?;
-        self.stats.updates += 1;
-        if out.created_version {
-            self.stats.copies_created += 1;
-        }
-        self.stats.max_versions_of_any_item = self
-            .stats
-            .max_versions_of_any_item
-            .max(rec.version_count() as u32);
-        Ok(out)
+        let count = rec.version_count();
+        Ok(self.count_update(out, count))
     }
 
     /// Does any version of `key` exist strictly above `v`? (NC3V abort rule,
     /// §5 step 4.)
     pub fn exists_above(&self, key: Key, v: VersionNo) -> Result<bool, StoreError> {
-        let rec = self
-            .backend
-            .get(key)
-            .ok_or(StoreError::UnknownKey { key })?;
-        Ok(rec.max_version() > v)
+        Ok(self.chain(key)?.next_back().is_some_and(|(w, _)| w > v))
     }
 
     /// Apply an undo log (rollback of an uncommitted subtransaction).
     /// Entries are applied newest-first.
     pub fn rollback(&mut self, log: UndoLog) {
         for (key, version, prior) in log.into_entries_rev() {
-            if let Some(rec) = self.backend.get_mut(key) {
-                rec.restore(version, prior);
-            }
+            self.restore_version(key, version, prior);
         }
     }
 
-    /// Garbage-collect every record for the new read version (§4.3 Phase 4).
+    /// Garbage-collect for the new read version (§4.3 Phase 4), visiting
+    /// only the grown set.
     ///
-    /// The sweep does *not* dirty the records it changes: a GC rename is a
-    /// deterministic function of `(record, vr_new)`, so durable backends
-    /// persist only the highest swept version — the *vr floor*, via
-    /// [`StorageBackend::note_gc`] — and re-derive the renames at open.
-    /// Dirtying here would turn every advancement into a full-store
-    /// rewrite, defeating incremental checkpoints.
+    /// A settled chain (one version at or below the floor) is renamed by
+    /// raising the floor, which durable backends persist
+    /// ([`StorageBackend::set_floor`]). The §4.3 rule proper,
+    /// [`VersionedRecord::gc`], runs over the grown set only. No record is
+    /// dirtied: [`Store::on_backend`] re-runs the same compaction at open.
     pub fn gc(&mut self, vr_new: VersionNo) {
-        let stats = &mut self.stats;
-        stats.gc_runs += 1;
-        self.backend
-            .visit_mut(&mut |_key, rec| match rec.gc(vr_new) {
-                GcAction::DroppedOld { dropped } => {
-                    stats.gc_dropped += dropped as u64;
-                    false
+        self.stats.gc_runs += 1;
+        if vr_new > self.floor {
+            self.stats.gc_renamed += (self.backend.len() - self.grown.len()) as u64;
+            self.floor = vr_new;
+            self.backend.set_floor(vr_new);
+        }
+        self.compact(vr_new);
+    }
+
+    /// Apply the §4.3 rule at `vr_new` to every chain in the grown set,
+    /// dropping the chains it settles from the set.
+    fn compact(&mut self, vr_new: VersionNo) {
+        let (backend, stats, floor) = (&mut self.backend, &mut self.stats, self.floor);
+        self.grown.retain(|&key| {
+            backend.get_mut(key, false).is_some_and(|rec| {
+                stats.gc_visited += 1;
+                match rec.gc(vr_new) {
+                    GcAction::DroppedOld { dropped } => stats.gc_dropped += u64::from(dropped),
+                    GcAction::Renamed { dropped, .. } => {
+                        stats.gc_renamed += 1;
+                        stats.gc_dropped += u64::from(dropped);
+                    }
+                    GcAction::None => {}
                 }
-                GcAction::Renamed { dropped, .. } => {
-                    stats.gc_renamed += 1;
-                    stats.gc_dropped += dropped as u64;
-                    false
-                }
-                GcAction::None => false,
-            });
-        self.backend.note_gc(vr_new);
+                !settled(rec, floor)
+            })
+        });
     }
 
     /// Restore version `v` of `key` to `prior` (`None` removes the
@@ -391,7 +411,7 @@ impl<B: StorageBackend> Store<B> {
     /// exposed so WAL replay can re-apply logged rollbacks during
     /// recovery.
     pub fn restore_version(&mut self, key: Key, v: VersionNo, prior: Option<Value>) {
-        if let Some(rec) = self.backend.get_mut(key) {
+        if let Ok(rec) = self.chain_mut(key) {
             rec.restore(v, prior);
         }
     }
@@ -401,45 +421,44 @@ impl<B: StorageBackend> Store<B> {
     pub fn export_parts(&self) -> Vec<(Key, Vec<(VersionNo, Value)>)> {
         // Backend iteration is key-ordered, so the parts arrive sorted.
         self.iter_versions()
-            .map(|(k, r)| {
-                (
-                    k,
-                    r.version_numbers()
-                        .filter_map(|v| r.value_at(v).map(|val| (v, val.clone())))
-                        .collect(),
-                )
-            })
+            .map(|(k, chain)| (k, chain.map(|(v, val)| (v, val.clone())).collect()))
             .collect()
     }
 
     /// Version layout of one key: `(version, value)` pairs ascending. Used
     /// by the Figure 2 replay and by invariant checks.
     pub fn layout(&self, key: Key) -> Option<Vec<(VersionNo, Value)>> {
-        self.backend.get(key).map(|r| {
-            r.version_numbers()
-                .filter_map(|v| r.value_at(v).map(|val| (v, val.clone())))
-                .collect()
-        })
+        let chain = self.chain(key).ok()?;
+        Some(chain.map(|(v, val)| (v, val.clone())).collect())
     }
 
-    /// Current maximum live version count across all items.
+    /// Current maximum live version count across all items (settled
+    /// chains hold one).
     pub fn current_max_versions(&self) -> usize {
-        self.iter_versions()
-            .map(|(_, r)| r.version_count())
-            .max()
-            .unwrap_or(0)
+        let settled = usize::from(self.grown.len() < self.backend.len());
+        self.grown
+            .iter()
+            .filter_map(|key| self.backend.get(*key))
+            .map(VersionedRecord::version_count)
+            .fold(settled, usize::max)
     }
 
     /// Iterate over all keys.
     pub fn keys(&self) -> impl Iterator<Item = Key> + '_ {
-        self.iter_versions().map(|(k, _)| k)
+        self.backend.iter().map(|(k, _)| *k)
     }
 
-    /// Non-cloning snapshot view of every chain, in key order — the
-    /// backend-agnostic read path for checkpointing, invariant checks, and
-    /// the model checker's oracle (no whole-`Store` clone, no value clones).
-    pub fn iter_versions(&self) -> impl Iterator<Item = (Key, &VersionedRecord)> + '_ {
-        self.backend.iter().map(|(k, r)| (*k, r))
+    /// Non-cloning snapshot view of every chain, in key order, read floor
+    /// applied: `(version, value)` pairs ascending — the backend-agnostic
+    /// read path for checkpointing, invariant checks, and the model
+    /// checker's oracle (no whole-`Store` clone, no value clones).
+    pub fn iter_versions(
+        &self,
+    ) -> impl Iterator<Item = (Key, impl DoubleEndedIterator<Item = (VersionNo, &Value)>)> + '_
+    {
+        self.backend
+            .iter()
+            .map(|(k, rec)| (*k, rec.floored(self.floor)))
     }
 
     /// Persist every record changed since the last flush and stamp the
@@ -583,6 +602,42 @@ mod tests {
         assert_eq!(st.gc_renamed, 1); // Key(2) renamed 0 -> 1
         assert_eq!(s.current_max_versions(), 1);
         assert_eq!(s.read_visible(Key(2), v(1)).unwrap().0, v(1));
+    }
+
+    #[test]
+    fn gc_visits_the_written_keys_whatever_the_store_size() {
+        for n in [1_000u64, 100_000] {
+            let mut s = Store::empty(NodeId(0));
+            for k in 0..n {
+                s.insert_initial(Key(k), Value::Counter(0));
+            }
+            for k in 0..10 {
+                s.update(Key(k * 97), v(1), UpdateOp::Add(1), t(k), None)
+                    .unwrap();
+            }
+            s.gc(v(1));
+            let st = s.stats();
+            assert_eq!(st.gc_visited, 10, "{n} keys");
+            assert_eq!((st.gc_renamed, st.gc_dropped), (n - 10, 10));
+            assert_eq!(s.current_max_versions(), 1);
+        }
+    }
+
+    #[test]
+    fn recovered_chain_above_the_floor_is_not_renamed() {
+        // Recovered lone versions above the floor (v0) are unsettled:
+        // raising the floor to v2 renames Key(1) but must not count Key(2).
+        let mut s = Store::from_parts(
+            NodeId(0),
+            vec![
+                (Key(1), vec![(v(1), Value::Counter(1))]),
+                (Key(2), vec![(v(3), Value::Counter(3))]),
+            ],
+        );
+        s.gc(v(2));
+        assert_eq!((s.stats().gc_renamed, s.stats().gc_visited), (1, 2));
+        assert_eq!(s.layout(Key(1)).unwrap()[0].0, v(2));
+        assert_eq!(s.layout(Key(2)).unwrap()[0].0, v(3));
     }
 
     #[test]

@@ -319,6 +319,25 @@ impl<'a> ByteReader<'a> {
         Ok(n)
     }
 
+    /// Read a version chain (`len`, then `(version, value)` pairs) and
+    /// check it is a valid [`VersionedRecord`](crate::VersionedRecord)
+    /// layout: 1 to [`MAX_VERSIONS`](crate::record::MAX_VERSIONS) versions,
+    /// strictly ascending.
+    pub fn chain(&mut self) -> Result<Vec<(VersionNo, Value)>, WireError> {
+        let n = self.read_len()?;
+        if !(1..=crate::record::MAX_VERSIONS).contains(&n) {
+            return Err(WireError("chain version count out of range"));
+        }
+        let mut versions = Vec::with_capacity(n);
+        for _ in 0..n {
+            versions.push((self.version()?, self.value()?));
+        }
+        if !versions.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err(WireError("chain versions not strictly ascending"));
+        }
+        Ok(versions)
+    }
+
     /// Read a [`NodeId`].
     pub fn node(&mut self) -> Result<NodeId, WireError> {
         Ok(NodeId(self.u16()?))
