@@ -11,6 +11,9 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use threev_bench::engines::{run_engine, Engine, RunOpts};
 use threev_core::advance::AdvancementPolicy;
+use threev_model::PartitionId;
+use threev_shard::threaded::build_sharded_actors;
+use threev_shard::{ShardedCluster, ShardedConfig};
 use threev_sim::{SimDuration, SimTime};
 use threev_workload::{HospitalWorkload, SyntheticParams, SyntheticWorkload};
 
@@ -58,15 +61,15 @@ fn bench_advancement_cycle(c: &mut Criterion) {
                 });
                 let (schema, arrivals) = w.generate();
                 b.iter(|| {
-                    let mut cluster = threev_core::cluster::ThreeVCluster::new(
+                    let mut cluster = ShardedCluster::new(
                         &schema,
-                        threev_core::cluster::ClusterConfig::new(n),
-                        arrivals.clone(),
+                        ShardedConfig::new(1, n),
+                        vec![arrivals.clone()],
                     );
                     cluster.run(SimTime(1_000_000));
-                    cluster.trigger_advancement();
+                    cluster.trigger_advancement(PartitionId(0));
                     cluster.run(SimTime(10_000_000));
-                    assert_eq!(cluster.advancements().len(), 1);
+                    assert_eq!(cluster.advancements(PartitionId(0)).len(), 1);
                 });
             },
         );
@@ -90,8 +93,8 @@ fn bench_threaded(c: &mut Criterion) {
             };
             let schema = workload.schema();
             let arrivals = workload.arrivals();
-            let cfg = threev_core::cluster::ClusterConfig::new(3);
-            let actors = threev_core::cluster::build_actors(&schema, &cfg, arrivals);
+            let cfg = ShardedConfig::new(1, 3);
+            let actors = build_sharded_actors(&schema, &cfg, vec![arrivals]);
             let (actors, _) = threev_runtime::ThreadedRun::run(
                 actors,
                 threev_sim::SimConfig::seeded(3),

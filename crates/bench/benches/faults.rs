@@ -24,8 +24,8 @@ use threev_analysis::TxnStatus;
 use threev_baselines::two_pc::{TwoPcCluster, TwoPcConfig};
 use threev_bench::report::{write_bench_report, JsonObject, JsonValue};
 use threev_core::advance::AdvancementPolicy;
-use threev_core::cluster::{ClusterConfig, ThreeVCluster};
-use threev_model::NodeId;
+use threev_model::{NodeId, PartitionId};
+use threev_shard::{ShardedCluster, ShardedConfig};
 use threev_sim::{FaultPlane, FaultScope, SimDuration, SimTime};
 use threev_workload::HospitalWorkload;
 
@@ -84,26 +84,28 @@ struct Measurement {
 
 fn run_threev(loss_ppm: u32) -> Measurement {
     let w = hospital();
-    let mut cfg = ClusterConfig::new(N_NODES)
-        .seed(SEED)
-        .advancement(AdvancementPolicy::Periodic {
-            first: SimDuration::from_millis(20),
-            period: SimDuration::from_millis(20),
-        });
+    let mut cfg =
+        ShardedConfig::new(1, N_NODES)
+            .seed(SEED)
+            .advancement(AdvancementPolicy::Periodic {
+                first: SimDuration::from_millis(20),
+                period: SimDuration::from_millis(20),
+            });
     cfg.sim.faults = control_plane(loss_ppm);
     cfg.protocol.coordinator.retransmit = Some(SimDuration::from_millis(2));
-    let mut cluster = ThreeVCluster::new(&w.schema(), cfg, w.arrivals());
+    let mut cluster = ShardedCluster::new(&w.schema(), cfg, vec![w.arrivals()]);
+    let p0 = PartitionId(0);
     // Periodic advancement re-arms forever: run to a horizon, not
     // quiescence. One virtual second covers the 200ms arrival window plus
     // a wide drain margin even at 20% control loss.
     cluster.run_until(SimTime(1_000_000));
     let committed = cluster
-        .records()
+        .partition_records(p0)
         .iter()
         .filter(|r| r.status == TxnStatus::Committed)
         .count() as u64;
-    let total = cluster.records().len() as u64;
-    let advs = cluster.advancements();
+    let total = cluster.partition_records(p0).len() as u64;
+    let advs = cluster.advancements(p0);
     let mean_adv = if advs.is_empty() {
         0.0
     } else {
@@ -112,7 +114,7 @@ fn run_threev(loss_ppm: u32) -> Measurement {
             .sum::<f64>()
             / advs.len() as f64
     };
-    let stats = cluster.sim_stats();
+    let stats = cluster.sim_stats(p0);
     Measurement {
         committed,
         stalled: total - committed,

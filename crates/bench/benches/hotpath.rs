@@ -18,9 +18,11 @@ use std::time::Duration;
 
 use threev_bench::prof::{breakdown_json, mono_ns};
 use threev_bench::report::{write_bench_report, JsonObject, JsonValue};
-use threev_core::cluster::{build_actors, ClusterActor, ClusterConfig};
+use threev_core::cluster::ClusterActor;
 use threev_core::node::{ProfileMode, StageBreakdown};
 use threev_runtime::ThreadedRun;
+use threev_shard::threaded::build_sharded_actors;
+use threev_shard::ShardedConfig;
 use threev_sim::SimDuration;
 use threev_workload::HospitalWorkload;
 
@@ -51,8 +53,9 @@ struct Probe {
 
 fn engine_probe(profile: ProfileMode) -> (Probe, Option<StageBreakdown>) {
     let w = hospital(0xE17);
-    let cfg = ClusterConfig::new(N_NODES).profile(profile);
-    let actors = build_actors(&w.schema(), &cfg, w.arrivals());
+    let mut cfg = ShardedConfig::new(1, N_NODES);
+    cfg.protocol.node.profile = profile;
+    let actors = build_sharded_actors(&w.schema(), &cfg, vec![w.arrivals()]);
     let (actors, report) = ThreadedRun::run(
         actors,
         cfg.sim.clone(),

@@ -17,8 +17,10 @@
 
 use std::time::Duration;
 
-use threev_core::cluster::{build_actors, ClusterActor, ClusterConfig};
+use threev_core::cluster::ClusterActor;
 use threev_runtime::ThreadedRun;
+use threev_shard::threaded::build_sharded_actors;
+use threev_shard::ShardedConfig;
 use threev_sim::SimDuration;
 use threev_workload::HospitalWorkload;
 
@@ -41,8 +43,8 @@ fn probe() -> f64 {
         zipf_s: 0.8,
         seed: 0x6A7E,
     };
-    let cfg = ClusterConfig::new(N_NODES);
-    let actors = build_actors(&w.schema(), &cfg, w.arrivals());
+    let cfg = ShardedConfig::new(1, N_NODES);
+    let actors = build_sharded_actors(&w.schema(), &cfg, vec![w.arrivals()]);
     let (actors, report) = ThreadedRun::run(
         actors,
         cfg.sim.clone(),

@@ -8,9 +8,12 @@ use threev_analysis::{RunSummary, TxnRecord, VersionTimeline};
 use threev_baselines::{ManualCluster, ManualConfig, NoCoordCluster, TwoPcCluster, TwoPcConfig};
 use threev_core::advance::{AdvancementPolicy, AdvancementRecord};
 use threev_core::client::Arrival;
-use threev_core::cluster::{ClusterConfig, ThreeVCluster};
-use threev_model::Schema;
+use threev_model::{PartitionId, Schema};
+use threev_shard::{ShardedCluster, ShardedConfig};
 use threev_sim::{SimConfig, SimTime};
+
+/// The one partition of every 3V run here.
+const P0: PartitionId = PartitionId(0);
 
 /// Which protocol to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -142,37 +145,38 @@ fn tag_counts(stats: &threev_sim::SimStats) -> Vec<(String, u64)> {
     v
 }
 
-/// Run the 3V engine.
+/// Run the 3V engine: one partition of `opts.n_nodes` nodes.
 pub fn run_three_v(schema: &Schema, arrivals: Vec<Arrival>, opts: &RunOpts) -> EngineReport {
-    let mut cfg = ClusterConfig::new(opts.n_nodes).advancement(opts.advancement);
+    let mut cfg = ShardedConfig::new(1, opts.n_nodes).advancement(opts.advancement);
     cfg.sim = opts.sim.clone();
     if opts.locks {
         cfg = cfg.with_locks();
     }
-    let mut cluster = ThreeVCluster::new(schema, cfg, arrivals);
+    let mut cluster = ShardedCluster::new(schema, cfg, vec![arrivals]);
     // Periodic policies re-arm forever; a horizon bounds both cases.
     cluster.run_until(opts.horizon);
     let ended_at = cluster.now();
-    let records = cluster.records().to_vec();
+    let records = cluster.partition_records(P0).to_vec();
     let (mut dual, mut copies, mut updates, mut maxv) = (0, 0, 0, 0);
-    for s in cluster.store_stats() {
+    let (mut compensations, mut tombstones) = (0, 0);
+    for id in cluster.node_ids() {
+        let node = cluster.node(id);
+        let s = node.store_stats();
         dual += s.dual_writes;
         copies += s.copies_created;
         updates += s.updates;
         maxv = maxv.max(s.max_versions_of_any_item);
+        compensations += node.stats().compensations_applied;
+        tombstones += node.stats().tombstones;
     }
-    let (mut compensations, mut tombstones) = (0, 0);
-    for s in cluster.node_stats() {
-        compensations += s.compensations_applied;
-        tombstones += s.tombstones;
-    }
+    let stats = cluster.sim_stats(P0);
     EngineReport {
         engine: Engine::ThreeV,
         summary: summarize(&records, ended_at),
-        messages: cluster.sim_stats().messages,
-        messages_by_tag: tag_counts(cluster.sim_stats()),
-        timeline: Some(cluster.timeline().clone()),
-        advancements: cluster.advancements().to_vec(),
+        messages: stats.messages,
+        messages_by_tag: tag_counts(stats),
+        timeline: Some(cluster.coordinator(P0).timeline().clone()),
+        advancements: cluster.advancements(P0).to_vec(),
         dual_writes: dual,
         copies_created: copies,
         store_updates: updates,

@@ -23,9 +23,11 @@
 //! the *orderings*, the counter values, and the version layouts of
 //! Figure 2's four panels are reproduced and machine-checked.
 
-use threev_core::cluster::{ClusterConfig, ThreeVCluster};
 use threev_core::msg::Msg;
-use threev_model::{Key, KeyDecl, NodeId, Schema, SubtxnPlan, TxnId, TxnKind, UpdateOp, VersionNo};
+use threev_model::{
+    Key, KeyDecl, NodeId, PartitionId, Schema, SubtxnPlan, TxnId, TxnKind, UpdateOp, VersionNo,
+};
+use threev_shard::{ShardedCluster, ShardedConfig};
 use threev_sim::{LatencyModel, SimConfig, SimDuration, SimTime, Trace};
 
 /// Item `A` at site `p`.
@@ -42,6 +44,8 @@ pub const F: Key = Key(104);
 const P: NodeId = NodeId(0);
 const Q: NodeId = NodeId(1);
 const S: NodeId = NodeId(2);
+/// The replay's one partition: sites p, q, s, then coordinator and client.
+const P0: PartitionId = PartitionId(0);
 
 /// One Figure 2 panel: the version layout of every item at one instant.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -79,18 +83,14 @@ fn schema() -> Schema {
     ])
 }
 
-fn panel(cluster: &ThreeVCluster, label: &'static str) -> Panel {
+fn panel(cluster: &ShardedCluster, label: &'static str) -> Panel {
     let items = [(A, P), (B, P), (D, Q), (E, Q), (F, S)];
     Panel {
         label,
         layouts: items
             .iter()
             .map(|(k, node)| {
-                let layout = cluster
-                    .node(node.0)
-                    .store()
-                    .layout(*k)
-                    .expect("item exists");
+                let layout = cluster.node(*node).store().layout(*k).expect("item exists");
                 (*k, layout.into_iter().map(|(w, _)| w).collect())
             })
             .collect(),
@@ -99,21 +99,18 @@ fn panel(cluster: &ThreeVCluster, label: &'static str) -> Panel {
 
 /// Run the scripted scenario.
 pub fn run() -> Table1Replay {
-    let cfg = ClusterConfig {
-        n_nodes: 3,
-        sim: SimConfig {
-            latency: LatencyModel::Fixed(SimDuration::from_micros(2_000)),
-            local_latency: SimDuration::from_micros(1),
-            fifo: true,
-            seed: 1,
-            ..SimConfig::default()
-        },
-        protocol: Default::default(),
+    let mut cfg = ShardedConfig::new(1, 3);
+    cfg.sim = SimConfig {
+        latency: LatencyModel::Fixed(SimDuration::from_micros(2_000)),
+        local_latency: SimDuration::from_micros(1),
+        fifo: true,
+        seed: 1,
+        ..SimConfig::default()
     };
-    let mut cluster = ThreeVCluster::new(&schema(), cfg, Vec::new());
+    let mut cluster = ShardedCluster::new(&schema(), cfg, vec![Vec::new()]);
     cluster.enable_trace();
-    let coord = cluster.coordinator_id();
-    let client = cluster.client_id();
+    let coord = cluster.topology().coordinator(P0);
+    let client = cluster.topology().client(P0);
 
     // Transaction i: root at p updates A; children iq (D, E; spawns iqp
     // updating B back at p) and is (F).
@@ -191,9 +188,9 @@ pub fn run() -> Table1Replay {
     cluster.run_until(t(5_900));
     let mut counters = Vec::new();
     {
-        let p = cluster.node(0);
-        let q = cluster.node(1);
-        let s = cluster.node(2);
+        let p = cluster.node(P);
+        let q = cluster.node(Q);
+        let s = cluster.node(S);
         let mut push = |label: &str, val: u64| counters.push((label.to_string(), val));
         push("R1pp", p.counters().request(v(1), P));
         push("C1pp", p.counters().completion(v(1), P));
@@ -220,7 +217,7 @@ pub fn run() -> Table1Replay {
     panels.push(panel(&cluster, "eventually (paper: after time 28)"));
 
     let quiescent = cluster.all_quiescent();
-    let trace = cluster.take_trace().expect("trace enabled");
+    let trace = cluster.take_trace(P0).expect("trace enabled");
     Table1Replay {
         trace,
         panels,

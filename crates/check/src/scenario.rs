@@ -10,13 +10,15 @@
 //! pin the exact event set; the choice list then pins the interleaving.
 
 use threev_core::client::Arrival;
-use threev_core::cluster::{build_actors, build_partition_actors, ClusterActor, ClusterConfig};
+use threev_core::cluster::{build_partition_actors, ClusterActor, ThreeVConfig};
 use threev_core::msg::Msg;
 use threev_core::node::DurabilityMode;
 use threev_model::{
     Key, KeyDecl, NodeId, PartitionId, Schema, SubtxnPlan, Topology, TxnPlan, UpdateOp,
 };
-use threev_sim::{LatencyModel, NodeCrash, SimDuration, SimTime, Simulation};
+use threev_sim::{
+    FaultPlane, LatencyModel, NodeCrash, SimConfig, SimDuration, SimTime, Simulation,
+};
 
 use crate::oracle::Oracle;
 
@@ -164,6 +166,32 @@ fn inquiry2() -> TxnPlan {
     )
 }
 
+/// What one scenario builds: the global schema, the protocol settings
+/// (the node topology is filled in by [`Scenario::build`]), one arrival
+/// stream per partition, the advancement trigger instants, and the
+/// scheduled crashes.
+struct Setup {
+    schema: Schema,
+    protocol: ThreeVConfig,
+    streams: Vec<Vec<Arrival>>,
+    triggers: Vec<SimTime>,
+    crashes: Vec<NodeCrash>,
+}
+
+impl Setup {
+    /// A single-partition setup with default protocol settings, one
+    /// arrival stream, one trigger, and no crashes.
+    fn new(schema: Schema, arrivals: Vec<Arrival>, trigger: SimTime) -> Setup {
+        Setup {
+            schema,
+            protocol: ThreeVConfig::default(),
+            streams: vec![arrivals],
+            triggers: vec![trigger],
+            crashes: Vec::new(),
+        }
+    }
+}
+
 impl Scenario {
     /// The partition layout of this scenario's cluster.
     pub fn topology(&self) -> Topology {
@@ -194,61 +222,56 @@ impl Scenario {
         self.topology().client(PartitionId(0))
     }
 
-    /// Build the simulation this scenario describes. `seed` feeds the
-    /// kernel RNG; with the fixed-latency link model the event *set* is a
-    /// pure function of `(scenario, seed)`, which is what makes recorded
-    /// schedules replayable.
+    /// Build the simulation this scenario describes: every partition's
+    /// actor block (nodes, coordinator, client at the topology strides)
+    /// hosted under **one** kernel, so the checker can interleave
+    /// cross-partition deliveries exactly like local ones. This is the
+    /// model-checking view of the sharded cluster — the production DES
+    /// shuttle pins cross-partition latency instead, but the protocol
+    /// messages are the same either way. Advancement triggers go to every
+    /// coordinator.
+    ///
+    /// `seed` feeds the kernel RNG; with the fixed-latency link model the
+    /// event *set* is a pure function of `(scenario, seed)`, which is what
+    /// makes recorded schedules replayable.
     pub fn build(&self, seed: u64) -> Simulation<ClusterActor> {
-        if self.partitions > 1 {
-            return self.build_sharded(seed);
-        }
-        let (schema, mut cfg, arrivals, triggers, faults) = match self.name {
+        let topo = self.topology();
+        let Setup {
+            schema,
+            mut protocol,
+            streams,
+            triggers,
+            crashes,
+        } = match self.name {
             "phase-boundaries" => self.phase_boundaries(),
             "skew-pair" => self.skew_pair(),
             "crash-p2" => self.crash_p2(),
             "nc-gate" => self.nc_gate(),
             "p2-skip" => self.p2_skip(),
+            "skew-cross-partition" => self.skew_cross_partition(),
             // "two-node-basic" and any future default.
             _ => self.two_node_basic(),
         };
-        cfg.sim.seed = seed;
-        cfg.sim.latency = LatencyModel::Fixed(SimDuration::from_micros(200));
-        cfg.sim.faults.crashes = faults;
-        let actors = build_actors(&schema, &cfg, arrivals);
-        let mut sim = Simulation::new(actors, cfg.sim.clone());
-        for t in triggers {
-            sim.inject_at(
-                t,
-                self.client(),
-                self.coordinator(),
-                Msg::TriggerAdvancement,
-            );
-        }
-        sim
-    }
-
-    /// Build a multi-partition scenario: every partition's actor block
-    /// (nodes, coordinator, client at the topology strides) hosted under
-    /// **one** kernel, so the checker can interleave cross-partition
-    /// deliveries exactly like local ones. This is the model-checking view
-    /// of the sharded cluster — the production DES shuttle pins
-    /// cross-partition latency instead, but the protocol messages are the
-    /// same either way. Advancement triggers go to every coordinator.
-    fn build_sharded(&self, seed: u64) -> Simulation<ClusterActor> {
-        let topo = self.topology();
-        let (schema, mut cfg, streams, triggers) = self.skew_cross_partition();
-        cfg.sim.seed = seed;
-        cfg.sim.latency = LatencyModel::Fixed(SimDuration::from_micros(200));
+        protocol.node.topology = topo;
         let mut actors = Vec::new();
         for (p, stream) in streams.into_iter().enumerate() {
             actors.extend(build_partition_actors(
                 &schema,
-                &cfg,
+                &protocol,
                 stream,
                 PartitionId(p as u16),
             ));
         }
-        let mut sim = Simulation::new(actors, cfg.sim.clone());
+        let cfg = SimConfig {
+            seed,
+            latency: LatencyModel::Fixed(SimDuration::from_micros(200)),
+            faults: FaultPlane {
+                crashes,
+                ..FaultPlane::default()
+            },
+            ..SimConfig::default()
+        };
+        let mut sim = Simulation::new(actors, cfg);
         for t in triggers {
             for p in 0..topo.n_partitions() {
                 let pid = PartitionId(p);
@@ -263,40 +286,16 @@ impl Scenario {
         sim
     }
 
-    #[allow(clippy::type_complexity)]
-    fn two_node_basic(
-        &self,
-    ) -> (
-        Schema,
-        ClusterConfig,
-        Vec<Arrival>,
-        Vec<SimTime>,
-        Vec<NodeCrash>,
-    ) {
+    fn two_node_basic(&self) -> Setup {
         let arrivals = vec![
             Arrival::at(ms(1), visit2(100, 1)),
             Arrival::at(ms(2), visit2(7, 2)),
             Arrival::at(ms(6), inquiry2()),
         ];
-        (
-            two_node_schema(),
-            ClusterConfig::new(2),
-            arrivals,
-            vec![ms(3)],
-            vec![],
-        )
+        Setup::new(two_node_schema(), arrivals, ms(3))
     }
 
-    #[allow(clippy::type_complexity)]
-    fn phase_boundaries(
-        &self,
-    ) -> (
-        Schema,
-        ClusterConfig,
-        Vec<Arrival>,
-        Vec<SimTime>,
-        Vec<NodeCrash>,
-    ) {
+    fn phase_boundaries(&self) -> Setup {
         // Updates keep arriving while the advancement walks its phases, so
         // reorderings can land a transaction on either side of every
         // boundary; reads bracket the whole window.
@@ -307,25 +306,10 @@ impl Scenario {
             Arrival::at(ms(6), visit2(30, 3)),
             Arrival::at(ms(9), inquiry2()),
         ];
-        (
-            two_node_schema(),
-            ClusterConfig::new(2),
-            arrivals,
-            vec![ms(2)],
-            vec![],
-        )
+        Setup::new(two_node_schema(), arrivals, ms(2))
     }
 
-    #[allow(clippy::type_complexity)]
-    fn skew_pair(
-        &self,
-    ) -> (
-        Schema,
-        ClusterConfig,
-        Vec<Arrival>,
-        Vec<SimTime>,
-        Vec<NodeCrash>,
-    ) {
+    fn skew_pair(&self) -> Setup {
         // Three nodes, transactions spanning all of them: during Phase 1
         // reordering puts subtransactions on nodes that are ahead of the
         // root (already switched vu) and behind it, exercising both §2.3
@@ -368,27 +352,14 @@ impl Scenario {
             Arrival::at(ms(3), visit3(9, 2, 1)),
             Arrival::at(ms(7), read3),
         ];
-        (schema, ClusterConfig::new(3), arrivals, vec![ms(2)], vec![])
+        Setup::new(schema, arrivals, ms(2))
     }
 
-    #[allow(clippy::type_complexity)]
-    fn crash_p2(
-        &self,
-    ) -> (
-        Schema,
-        ClusterConfig,
-        Vec<Arrival>,
-        Vec<SimTime>,
-        Vec<NodeCrash>,
-    ) {
+    fn crash_p2(&self) -> Setup {
         // Node 1 goes down at 4 ms — inside Phase 2 on the default
         // schedule, and reorderable across any phase by the checker — and
         // recovers from its in-memory WAL. The coordinator's retransmit
         // timer restores liveness for broadcasts lost to the dead window.
-        let mut cfg = ClusterConfig::new(2).durability(DurabilityMode::Memory {
-            checkpoint_every: 4,
-        });
-        cfg.protocol.coordinator.retransmit = Some(SimDuration::from_millis(2));
         let arrivals = vec![
             Arrival::at(ms(1), visit2(50, 1)),
             Arrival::at(ms(2), visit2(3, 2)),
@@ -399,19 +370,16 @@ impl Scenario {
             at: ms(4),
             restart_after: SimDuration::from_millis(3),
         }];
-        (two_node_schema(), cfg, arrivals, vec![ms(3)], crashes)
+        let mut setup = Setup::new(two_node_schema(), arrivals, ms(3));
+        setup.protocol.node.durability = DurabilityMode::Memory {
+            checkpoint_every: 4,
+        };
+        setup.protocol.coordinator.retransmit = Some(SimDuration::from_millis(2));
+        setup.crashes = crashes;
+        setup
     }
 
-    #[allow(clippy::type_complexity)]
-    fn nc_gate(
-        &self,
-    ) -> (
-        Schema,
-        ClusterConfig,
-        Vec<Arrival>,
-        Vec<SimTime>,
-        Vec<NodeCrash>,
-    ) {
+    fn nc_gate(&self) -> Setup {
         // Non-commuting assignments race an advancement: the vu == vr + 1
         // gate must hold them while the window is wide, and the lock table
         // must be clean afterwards.
@@ -439,25 +407,12 @@ impl Scenario {
             Arrival::at(ms(4), nc(8, 9)),
             Arrival::at(ms(8), read),
         ];
-        (
-            schema,
-            ClusterConfig::new(2).with_locks(),
-            arrivals,
-            vec![ms(3)],
-            vec![],
-        )
+        let mut setup = Setup::new(schema, arrivals, ms(3));
+        setup.protocol.node.locks_enabled = true;
+        setup
     }
 
-    #[allow(clippy::type_complexity)]
-    fn p2_skip(
-        &self,
-    ) -> (
-        Schema,
-        ClusterConfig,
-        Vec<Arrival>,
-        Vec<SimTime>,
-        Vec<NodeCrash>,
-    ) {
+    fn p2_skip(&self) -> Setup {
         // The planted bug: the coordinator publishes the new read version
         // without draining the old update version. A schedule that holds
         // back the visit's node-1 leg until after AdvanceRead and the
@@ -479,10 +434,10 @@ impl Scenario {
                 .read(k(11))
                 .child(SubtxnPlan::new(n(1)).read(k(12))),
         );
-        let mut cfg = ClusterConfig::new(2);
-        cfg.protocol.coordinator.skip_p2_drain = true;
         let arrivals = vec![Arrival::at(ms(1), visit), Arrival::at(ms(3), inquiry)];
-        (schema, cfg, arrivals, vec![ms(2)], vec![])
+        let mut setup = Setup::new(schema, arrivals, ms(2));
+        setup.protocol.coordinator.skip_p2_drain = true;
+        setup
     }
 
     /// Two partitions of two nodes each. Commuting trees cross the
@@ -493,8 +448,7 @@ impl Scenario {
     /// version switch. Reads stay partition-local: version numbers live in
     /// per-partition spaces, so only a within-partition read order is
     /// meaningful to the audit.
-    #[allow(clippy::type_complexity)]
-    fn skew_cross_partition(&self) -> (Schema, ClusterConfig, Vec<Vec<Arrival>>, Vec<SimTime>) {
+    fn skew_cross_partition(&self) -> Setup {
         let topo = self.topology();
         let p0 = topo.nodes(PartitionId(0));
         let p1 = topo.nodes(PartitionId(1));
@@ -545,8 +499,10 @@ impl Scenario {
             Arrival::at(ms(2), visit(&[p1[0], p0[1]], 9, 3)),
             Arrival::at(ms(6), local_read(&p1)),
         ];
-        let cfg = ClusterConfig::new(self.n_nodes).topology(topo);
-        (schema, cfg, vec![s0, s1], vec![ms(3)])
+        Setup {
+            streams: vec![s0, s1],
+            ..Setup::new(schema, Vec::new(), ms(3))
+        }
     }
 }
 

@@ -200,14 +200,9 @@ const TIMER_POLL: u64 = 1;
 const TIMER_RETRANSMIT_BASE: u64 = 1 << 32;
 
 impl Coordinator {
-    /// New coordinator over `n_nodes` database nodes (ids `0..n_nodes`).
-    pub fn new(n_nodes: u16, cfg: CoordinatorConfig) -> Self {
-        Coordinator::for_nodes((0..n_nodes).map(NodeId).collect(), cfg)
-    }
-
-    /// New coordinator over an explicit node set — a *partition's* nodes in
-    /// a sharded cluster, where the advancement protocol runs per partition
-    /// and only ever polls the nodes it governs. Cross-partition activity
+    /// New coordinator over an explicit node set — its partition's nodes,
+    /// since the advancement protocol runs per partition and only ever
+    /// polls the nodes it governs. Cross-partition activity
     /// still gates advancement, but through the gauge rows in those nodes'
     /// own snapshots — never by talking to another partition.
     pub fn for_nodes(nodes: Vec<NodeId>, cfg: CoordinatorConfig) -> Self {

@@ -21,39 +21,13 @@
 //!   argument documented inline;
 //! * [`client`] — the workload driver actor shared by every engine in the
 //!   workspace (baselines reuse it via the [`msg::ProtocolMsg`] trait);
-//! * [`cluster`] — one-call construction of a simulated 3V cluster.
+//! * [`cluster`] — the cluster actor block and its one builder,
+//!   [`cluster::build_partition_actors`].
 //!
-//! ```
-//! use threev_core::cluster::{ClusterConfig, ThreeVCluster};
-//! use threev_core::client::Arrival;
-//! use threev_model::{KeyDecl, Schema, SubtxnPlan, TxnPlan, UpdateOp, Key, NodeId};
-//! use threev_sim::{SimTime, SimDuration};
-//!
-//! // Two nodes, one counter each; one update spanning both, then a read.
-//! let schema = Schema::new(vec![
-//!     KeyDecl::counter(Key(1), NodeId(0), 0),
-//!     KeyDecl::counter(Key(2), NodeId(1), 0),
-//! ]);
-//! let update = TxnPlan::commuting(
-//!     SubtxnPlan::new(NodeId(0))
-//!         .update(Key(1), UpdateOp::Add(5))
-//!         .child(SubtxnPlan::new(NodeId(1)).update(Key(2), UpdateOp::Add(5))),
-//! );
-//! let read = TxnPlan::read_only(
-//!     SubtxnPlan::new(NodeId(0))
-//!         .read(Key(1))
-//!         .child(SubtxnPlan::new(NodeId(1)).read(Key(2))),
-//! );
-//! let arrivals = vec![
-//!     Arrival::at(SimTime(1_000), update),
-//!     Arrival::at(SimTime(2_000), read),
-//! ];
-//! let mut cluster = ThreeVCluster::new(&schema, ClusterConfig::new(2), arrivals);
-//! cluster.run(SimTime(10_000_000));
-//! let records = cluster.records();
-//! assert_eq!(records.len(), 2);
-//! assert!(records.iter().all(|r| r.status == threev_analysis::TxnStatus::Committed));
-//! ```
+//! The drivers that host that block — the discrete-event shuttle
+//! `ShardedCluster` (one partition or many) and the real-thread hosting in
+//! `threev_shard::threaded` — live in `threev-shard`, whose crate docs
+//! carry the quickstart.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -68,7 +42,7 @@ pub mod node;
 
 pub use advance::{AdvancementPolicy, AdvancementRecord, Coordinator};
 pub use client::{Arrival, ClientActor};
-pub use cluster::{ClusterConfig, ThreeVCluster, ThreeVConfig};
+pub use cluster::ThreeVConfig;
 pub use counters::{CounterMatrix, CounterSnapshot, CounterTable};
 pub use msg::{ClientEvent, Msg, ProtocolMsg};
 pub use node::{DurabilityMode, InvariantView, ThreeVNode};

@@ -107,10 +107,10 @@ pub struct NodeConfig {
     /// directory.
     pub backend: BackendConfig,
     /// Cluster partition layout. The default [`Topology::single`] maps
-    /// every id to one partition and leaves all single-cluster code paths
-    /// untouched; a sharded cluster sets the real layout so nodes can
-    /// recognise foreign senders, re-root their subtransactions, and keep
-    /// gauge-keyed counter rows per peer partition.
+    /// every id to one partition (a standalone node); the cluster builder
+    /// sets the real layout so nodes can recognise foreign senders, re-root
+    /// their subtransactions, and keep gauge-keyed counter rows per peer
+    /// partition.
     pub topology: Topology,
     /// Hot-path stage profiling (see [`profile`]). Off by default and
     /// observationally free when on.

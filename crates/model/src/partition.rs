@@ -12,9 +12,9 @@
 //! [`Topology`] fixes the global actor-id layout of a sharded run: each
 //! partition owns a contiguous id block of `nodes_per_partition + 2`
 //! actors — its database nodes, then its advancement coordinator, then its
-//! client. [`Topology::single`] is the degenerate one-partition layout
-//! every pre-sharding construction implicitly used; with it, every id maps
-//! to partition 0 and nothing about the single-cluster code path changes.
+//! client. [`Topology::single`] is the degenerate one-partition layout of a
+//! standalone node: every id maps to partition 0, exactly as under
+//! `Topology::new(1, n)`.
 
 use std::fmt;
 
@@ -85,9 +85,9 @@ impl Default for Topology {
 
 impl Topology {
     /// The degenerate one-partition topology: every id is partition 0 and
-    /// every pair of ids is partition-local. This is the implicit topology
-    /// of every non-sharded construction, so defaulting to it keeps the
-    /// single-cluster code paths bit-identical.
+    /// every pair of ids is partition-local, exactly as under
+    /// `Topology::new(1, n)`, without naming `n`. The default topology of a
+    /// node built outside a cluster.
     pub fn single() -> Self {
         Topology {
             n_partitions: 1,
@@ -178,6 +178,16 @@ impl Topology {
     pub fn client(&self, p: PartitionId) -> NodeId {
         NodeId(self.base(p).0 + self.nodes_per_partition + 1)
     }
+
+    /// Is `n` a database node of this layout (not a coordinator, client,
+    /// gauge, or out-of-range id)?
+    pub fn is_db_node(&self, n: NodeId) -> bool {
+        if gauge_peer(n).is_some() {
+            return false;
+        }
+        let p = PartitionId(n.0 / self.stride());
+        p.0 < self.n_partitions && n.0 - self.base(p).0 < self.nodes_per_partition
+    }
 }
 
 #[cfg(test)]
@@ -209,6 +219,11 @@ mod tests {
         assert_eq!(t.partition_of(NodeId(4)), PartitionId(0));
         assert!(t.same_partition(NodeId(10), NodeId(14)));
         assert!(!t.same_partition(NodeId(9), NodeId(10)));
+        assert!(t.is_db_node(NodeId(12)));
+        assert!(!t.is_db_node(NodeId(13)), "coordinator");
+        assert!(!t.is_db_node(NodeId(14)), "client");
+        assert!(!t.is_db_node(NodeId(20)), "past the last partition");
+        assert!(!t.is_db_node(gauge_node(PartitionId(1))));
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl ThreadedRun {
                 // drop/duplicate/delay/partition/pause decision is made by
                 // the shared policy engine before a message is routed.
                 let mut transport = Transport::wire(&cfg);
-                let mut sim = Simulation::new_partition(vec![actor], i as u16, u16::MAX, cfg);
+                let mut sim = Simulation::new_partition(vec![actor], i as u16, cfg);
                 // Both buffers are reused across wakeups: after warm-up the
                 // steady-state loop performs no allocation for routing.
                 let mut inbox: Vec<(NodeId, NodeId, A::Msg)> = Vec::new();

@@ -12,10 +12,12 @@
 
 use std::time::Duration;
 
+use threev::shard::threaded::build_sharded_actors;
+use threev::shard::{ShardedCluster, ShardedConfig};
 use threev_core::client::Arrival;
-use threev_core::cluster::{build_actors, ClusterActor, ClusterConfig, ThreeVCluster};
+use threev_core::cluster::ClusterActor;
 use threev_core::node::ThreeVNode;
-use threev_model::{Key, TxnId, Value};
+use threev_model::{Key, NodeId, PartitionId, TxnId, Value};
 use threev_runtime::ThreadedRun;
 use threev_sim::{SimDuration, SimTime};
 use threev_workload::HospitalWorkload;
@@ -69,12 +71,12 @@ fn des_outcome(arrivals: Vec<Arrival>) -> Outcome {
     // `THREEV_BACKEND=paged` runs the DES side over the on-disk backend
     // (fresh scratch dir); the threaded side keeps its own hook below, so
     // the equivalence also spans storage backends.
-    let cfg = ClusterConfig::new(w.departments)
+    let cfg = ShardedConfig::new(1, w.departments)
         .backend(threev::testutil::backend_from_env("driver-eq-des"));
-    let mut cluster = ThreeVCluster::new(&w.schema(), cfg, arrivals);
+    let mut cluster = ShardedCluster::new(&w.schema(), cfg, vec![arrivals]);
     cluster.run(SimTime::MAX);
     let mut committed: Vec<TxnId> = cluster
-        .records()
+        .partition_records(PartitionId(0))
         .iter()
         .filter(|r| r.status == TxnStatus::Committed)
         .map(|r| r.id)
@@ -83,16 +85,16 @@ fn des_outcome(arrivals: Vec<Arrival>) -> Outcome {
     Outcome {
         committed,
         stores: (0..w.departments)
-            .map(|i| store_image(cluster.node(i)))
+            .map(|i| store_image(cluster.node(NodeId(i))))
             .collect(),
     }
 }
 
 fn threaded_outcome(arrivals: Vec<Arrival>) -> Outcome {
     let w = workload();
-    let cfg = ClusterConfig::new(w.departments)
+    let cfg = ShardedConfig::new(1, w.departments)
         .backend(threev::testutil::backend_from_env("driver-eq-threaded"));
-    let actors = build_actors(&w.schema(), &cfg, arrivals);
+    let actors = build_sharded_actors(&w.schema(), &cfg, vec![arrivals]);
     let (actors, report) = ThreadedRun::run(
         actors,
         cfg.sim.clone(),

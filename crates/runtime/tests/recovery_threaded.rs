@@ -11,10 +11,12 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use threev::shard::threaded::build_sharded_actors;
+use threev::shard::ShardedConfig;
 use threev_analysis::TxnStatus;
 use threev_core::advance::AdvancementPolicy;
 use threev_core::client::Arrival;
-use threev_core::cluster::{build_actors, ClusterActor, ClusterConfig};
+use threev_core::cluster::ClusterActor;
 use threev_core::node::{DurabilityMode, ThreeVNode};
 use threev_model::{Key, KeyDecl, NodeId, Schema, SubtxnPlan, TxnPlan, UpdateOp, Value, VersionNo};
 use threev_runtime::ThreadedRun;
@@ -110,7 +112,7 @@ fn run_threaded(dir: &Path, crashes: Vec<NodeCrash>) -> Outcome {
     let _ = std::fs::remove_dir_all(dir);
     std::fs::create_dir_all(dir).expect("create WAL dir");
 
-    let mut cfg = ClusterConfig::new(N_NODES)
+    let mut cfg = ShardedConfig::new(1, N_NODES)
         .advancement(AdvancementPolicy::Periodic {
             first: SimDuration::from_millis(150),
             period: SimDuration::from_millis(10_000),
@@ -120,13 +122,13 @@ fn run_threaded(dir: &Path, crashes: Vec<NodeCrash>) -> Outcome {
             checkpoint_every: 32,
         });
     cfg.protocol.coordinator.retransmit = Some(SimDuration::from_millis(2));
-    let actors = build_actors(&schema(), &cfg, arrivals());
+    cfg.sim = SimConfig::seeded(7);
+    cfg.sim.faults.crashes = crashes;
+    let actors = build_sharded_actors(&schema(), &cfg, vec![arrivals()]);
 
-    let mut scfg = SimConfig::seeded(7);
-    scfg.faults.crashes = crashes;
     let (actors, _report) = ThreadedRun::run(
         actors,
-        scfg,
+        cfg.sim.clone(),
         Duration::from_millis(400),
         Duration::from_millis(400),
     );

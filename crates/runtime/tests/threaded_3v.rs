@@ -3,9 +3,11 @@
 
 use std::time::Duration;
 
+use threev::shard::threaded::build_sharded_actors;
+use threev::shard::ShardedConfig;
 use threev_analysis::{Auditor, TxnStatus};
 use threev_core::advance::AdvancementPolicy;
-use threev_core::cluster::{build_actors, ClusterActor, ClusterConfig};
+use threev_core::cluster::ClusterActor;
 use threev_runtime::ThreadedRun;
 use threev_sim::{SimConfig, SimDuration};
 use threev_workload::HospitalWorkload;
@@ -27,11 +29,11 @@ fn hospital_on_threads_commits_and_audits_clean() {
     let n_arrivals = arrivals.len();
     assert!(n_arrivals > 100, "workload should be non-trivial");
 
-    let cfg = ClusterConfig::new(3).advancement(AdvancementPolicy::Periodic {
+    let cfg = ShardedConfig::new(1, 3).advancement(AdvancementPolicy::Periodic {
         first: SimDuration::from_millis(50),
         period: SimDuration::from_millis(100),
     });
-    let actors = build_actors(&schema, &cfg, arrivals);
+    let actors = build_sharded_actors(&schema, &cfg, vec![arrivals]);
 
     let (actors, report) = ThreadedRun::run(
         actors,

@@ -18,24 +18,28 @@
 //! plane) stays entirely inside each kernel, untouched.
 //!
 //! With one partition the outbox is always empty and the shuttle reduces
-//! to running the single kernel event by event — bit-identical to
-//! [`ThreeVCluster`], which the tests below pin.
+//! to running the single kernel event by event. That makes this the one
+//! DES driver of the workspace: a plain 3V cluster of `n` nodes is
+//! `ShardedCluster::new(schema, ShardedConfig::new(1, n), vec![arrivals])`,
+//! and `tests/single_partition.rs` pins its behaviour with golden hashes.
 //!
-//! Crash injection is **not supported** in sharded runs: cross-partition
-//! resolution pins live in volatile node state and are not yet recovered
-//! from the WAL, so a crash could strand a foreign partition's gauge row.
-//! Construction rejects configs with scheduled crashes.
-//!
-//! [`ThreeVCluster`]: threev_core::cluster::ThreeVCluster
+//! Crash injection is supported with **one partition only**. Cross-partition
+//! resolution pins live in volatile node state and are not recovered from
+//! the WAL, so on a multi-partition run a crash could strand a foreign
+//! partition's gauge row; pins exist per partition *pair*, so a
+//! one-partition run has none and WAL recovery restores everything a crash
+//! drops. `ShardedConfig::partition_protocol` — the check both this driver
+//! and the threaded one go through — rejects crashes when there are
+//! two or more partitions.
 
 use threev_analysis::TxnRecord;
 use threev_core::advance::{AdvancementPolicy, AdvancementRecord, Coordinator};
 use threev_core::client::Arrival;
-use threev_core::cluster::{build_partition_actors, ClusterActor, ClusterConfig, ThreeVConfig};
+use threev_core::cluster::{build_partition_actors, ClusterActor, ThreeVConfig};
 use threev_core::msg::{Msg, ProtocolMsg};
 use threev_core::node::{BackendConfig, DurabilityMode, ThreeVNode};
 use threev_model::{NodeId, PartitionId, PlanError, Schema, Topology, TxnId, TxnPlan};
-use threev_sim::{SimConfig, SimDuration, SimStats, SimTime, Simulation};
+use threev_sim::{SimConfig, SimDuration, SimStats, SimTime, Simulation, Trace};
 
 /// Configuration of a sharded cluster.
 #[derive(Clone, Debug)]
@@ -96,8 +100,7 @@ impl ShardedConfig {
 
     /// Set the storage backend (mem or paged) for every node in every
     /// partition. Paged nodes write their page files under the configured
-    /// directory, one subdirectory per node; crash injection remains
-    /// rejected on sharded runs regardless of backend (pins are volatile).
+    /// directory, one subdirectory per node.
     #[must_use]
     pub fn backend(mut self, backend: BackendConfig) -> Self {
         self.protocol.node.backend = backend;
@@ -111,14 +114,30 @@ impl ShardedConfig {
         self
     }
 
-    /// The per-partition [`ClusterConfig`] this expands to.
-    pub fn cluster_config(&self) -> ClusterConfig {
-        ClusterConfig {
-            n_nodes: self.topology.nodes_per_partition(),
-            sim: self.sim.clone(),
-            protocol: self.protocol.clone(),
-        }
-        .topology(self.topology)
+    /// The protocol settings every partition's actor block is built from:
+    /// [`ShardedConfig::protocol`] with this layout carried into every
+    /// node. The one construction check shared by the DES driver and the
+    /// threaded one ([`crate::threaded::build_sharded_actors`]).
+    ///
+    /// # Panics
+    /// Panics unless there are exactly `streams` arrival streams, one per
+    /// partition, and when the fault plane schedules node crashes on two
+    /// or more partitions (resolution pins are not WAL-recovered; see the
+    /// module docs) — static configuration bugs.
+    pub(crate) fn partition_protocol(&self, streams: usize) -> ThreeVConfig {
+        assert_eq!(
+            streams,
+            usize::from(self.topology.n_partitions()),
+            "one arrival stream per partition"
+        );
+        assert!(
+            self.topology.is_single() || self.sim.faults.crashes.is_empty(),
+            "crash injection needs a single partition \
+             (cross-partition resolution pins are not WAL-recovered)"
+        );
+        let mut protocol = self.protocol.clone();
+        protocol.node.topology = self.topology;
+        protocol
     }
 }
 
@@ -171,39 +190,23 @@ impl ShardedCluster {
     /// `p`'s client; its plans should be rooted on partition-`p` nodes).
     ///
     /// # Panics
-    /// Panics when `arrivals` does not have exactly one entry per
-    /// partition, when `cross_latency` is zero, or when the fault plane
-    /// schedules node crashes (unsupported in sharded runs, see module
-    /// docs) — all static configuration bugs.
+    /// Panics when `cross_latency` is zero, and on every configuration
+    /// `ShardedConfig::partition_protocol` rejects — all static
+    /// configuration bugs.
     pub fn new(schema: &Schema, cfg: ShardedConfig, arrivals: Vec<Vec<Arrival>>) -> Self {
         let topo = cfg.topology;
-        assert_eq!(
-            arrivals.len(),
-            usize::from(topo.n_partitions()),
-            "one arrival stream per partition"
-        );
+        let protocol = cfg.partition_protocol(arrivals.len());
         assert!(
             cfg.cross_latency > SimDuration::ZERO,
             "cross-partition latency must be non-zero"
         );
-        assert!(
-            cfg.sim.faults.crashes.is_empty(),
-            "crash injection is not supported in sharded runs \
-             (cross-partition resolution pins are not WAL-recovered)"
-        );
-        let ccfg = cfg.cluster_config();
         let sims = arrivals
             .into_iter()
             .enumerate()
             .map(|(p, stream)| {
                 let pid = PartitionId(p as u16);
-                let actors = build_partition_actors(schema, &ccfg, stream, pid);
-                Simulation::new_partition(
-                    actors,
-                    topo.base(pid).0,
-                    u16::MAX,
-                    cfg.sim.for_partition(p),
-                )
+                let actors = build_partition_actors(schema, &protocol, stream, pid);
+                Simulation::new_partition(actors, topo.base(pid).0, cfg.sim.for_partition(p))
             })
             .collect();
         let mut cluster = ShardedCluster {
@@ -296,17 +299,6 @@ impl ShardedCluster {
             .unwrap_or(SimTime::ZERO)
     }
 
-    /// Is `n` a database node of this topology (not a coordinator, client,
-    /// gauge, or out-of-range id)?
-    fn is_db_node(&self, n: NodeId) -> bool {
-        if threev_model::gauge_peer(n).is_some() {
-            return false;
-        }
-        let p = PartitionId(n.0 / self.topo.stride());
-        p.0 < self.topo.n_partitions()
-            && n.0 - self.topo.base(p).0 < self.topo.nodes_per_partition()
-    }
-
     /// Submit a transaction from *outside* the arrival lists — the seam
     /// the network front end drives. The plan is validated, registered
     /// with the root partition's client actor (so the completion lands in
@@ -322,7 +314,7 @@ impl ShardedCluster {
     ) -> Result<TxnId, SubmitError> {
         plan.validate().map_err(SubmitError::Invalid)?;
         for n in plan.root.nodes() {
-            if !self.is_db_node(n) {
+            if !self.topo.is_db_node(n) {
                 return Err(SubmitError::UnknownNode(n));
             }
         }
@@ -352,6 +344,26 @@ impl ShardedCluster {
         let client = self.topo.client(p);
         let coord = self.topo.coordinator(p);
         self.sims[p.index()].inject(client, coord, Msg::TriggerAdvancement);
+    }
+
+    /// Inject a protocol message for delivery to `to` at the absolute
+    /// virtual time `at`, bypassing the transport (scripted replays — the
+    /// Table 1 scenario). It lands in the kernel of `to`'s partition.
+    pub fn inject_at(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: Msg) {
+        let p = self.topo.partition_of(to);
+        self.sims[p.index()].inject_at(at, from, to, msg);
+    }
+
+    /// Enable trace recording in every partition's kernel.
+    pub fn enable_trace(&mut self) {
+        for sim in &mut self.sims {
+            sim.enable_trace();
+        }
+    }
+
+    /// Take partition `p`'s recorded trace.
+    pub fn take_trace(&mut self, p: PartitionId) -> Option<Trace> {
+        self.sims[p.index()].take_trace()
     }
 
     /// Ask every partition's coordinator for one advancement now.
@@ -475,7 +487,6 @@ impl ShardedCluster {
 mod tests {
     use super::*;
     use threev_analysis::TxnStatus;
-    use threev_core::cluster::ThreeVCluster;
     use threev_model::{Key, KeyDecl, SubtxnPlan, TxnPlan, UpdateOp};
 
     fn ms(x: u64) -> SimTime {
@@ -512,70 +523,66 @@ mod tests {
         TxnPlan::commuting(root)
     }
 
-    /// Everything observable about a finished run, via Debug canonicalisation.
-    fn fingerprint(records: &[TxnRecord], nodes: &[&ThreeVNode], stats: &SimStats) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for r in records {
-            let _ = writeln!(out, "{r:?}");
-        }
-        for n in nodes {
-            let mut keys: Vec<_> = n.store().keys().collect();
-            keys.sort_unstable();
-            let _ = writeln!(out, "vu={:?} vr={:?}", n.vu(), n.vr());
-            for k in keys {
-                let _ = writeln!(out, "  {k:?} => {:?}", n.store().layout(k));
-            }
-        }
-        let _ = writeln!(
-            out,
-            "messages={} timers={} events={}",
-            stats.messages, stats.timers, stats.events
-        );
-        out
+    /// A scheduled crash of node 0 with an in-memory WAL, after the
+    /// arrival window (an in-flight subtransaction is lost with its node).
+    fn crashing(cfg: ShardedConfig) -> ShardedConfig {
+        let mut cfg = cfg.durability(DurabilityMode::Memory {
+            checkpoint_every: 8,
+        });
+        cfg.sim.faults.crashes = vec![threev_sim::NodeCrash {
+            node: NodeId(0),
+            at: ms(20),
+            restart_after: SimDuration::from_millis(2),
+        }];
+        cfg
     }
 
-    /// With one partition, the sharded driver is bit-identical to the
-    /// single-cluster driver: same records, same stores, same kernel
-    /// statistics.
+    /// Resolution pins are per partition pair and volatile, so a crash on
+    /// a multi-partition run is rejected at construction.
     #[test]
-    fn single_partition_matches_threev_cluster() {
-        let nodes: Vec<NodeId> = (0..3).map(NodeId).collect();
-        let schema = schema(&nodes);
-        let arrivals: Vec<Arrival> = (0..40)
-            .map(|i| Arrival::at(ms(1 + i), visit(&nodes, 1)))
+    #[should_panic(expected = "crash injection needs a single partition")]
+    fn crashes_on_two_partitions_are_rejected() {
+        let topo = Topology::new(2, 2);
+        let all: Vec<NodeId> = (0..2).flat_map(|p| topo.nodes(PartitionId(p))).collect();
+        let cfg = crashing(ShardedConfig::new(2, 2));
+        let _ = ShardedCluster::new(&schema(&all), cfg, vec![vec![], vec![]]);
+    }
+
+    /// One partition has no pins: a crashed node restarts from its WAL and
+    /// the run converges like a clean one.
+    #[test]
+    fn crashes_on_one_partition_recover() {
+        let nodes: Vec<NodeId> = (0..2).map(NodeId).collect();
+        let arrivals: Vec<Arrival> = (0..10)
+            .map(|i| Arrival::at(ms(i), visit(&nodes, 1)))
             .collect();
-        let horizon = SimTime(5_000_000);
+        let cfg = crashing(ShardedConfig::new(1, 2).seed(4));
+        let mut cluster = ShardedCluster::new(&schema(&nodes), cfg, vec![arrivals]);
+        assert!(matches!(
+            cluster.run(SimTime::MAX),
+            ShardOutcome::Quiescent(_)
+        ));
+        assert_eq!(cluster.sim_stats(PartitionId(0)).crashes, 1);
+        assert_eq!(cluster.node(NodeId(0)).stats().recoveries, 1);
+        let recs = cluster.partition_records(PartitionId(0));
+        assert_eq!(recs.len(), 10);
+        assert!(recs.iter().all(|r| r.status == TxnStatus::Committed));
+        // The restarted node still takes part in an advancement.
+        cluster.trigger_advancement(PartitionId(0));
+        assert!(matches!(
+            cluster.run(SimTime::MAX),
+            ShardOutcome::Quiescent(_)
+        ));
+        assert_eq!(cluster.advancements(PartitionId(0)).len(), 1);
+        assert!(cluster.all_quiescent());
+    }
 
-        let cfg = ClusterConfig::new(3)
-            .seed(42)
-            .advancement(AdvancementPolicy::Periodic {
-                first: SimDuration::from_millis(10),
-                period: SimDuration::from_millis(20),
-            });
-        let mut single = ThreeVCluster::new(&schema, cfg, arrivals.clone());
-        single.run_until(horizon);
-        let single_nodes: Vec<&ThreeVNode> = (0..3).map(|i| single.node(i)).collect();
-        let single_fp = fingerprint(single.records(), &single_nodes, single.sim_stats());
-
-        let sharded_cfg =
-            ShardedConfig::new(1, 3)
-                .seed(42)
-                .advancement(AdvancementPolicy::Periodic {
-                    first: SimDuration::from_millis(10),
-                    period: SimDuration::from_millis(20),
-                });
-        let mut sharded = ShardedCluster::new(&schema, sharded_cfg, vec![arrivals]);
-        sharded.run_until(horizon);
-        assert!(sharded.topology().is_single());
-        assert_eq!(sharded.cross_messages(), 0);
-        let sharded_nodes: Vec<&ThreeVNode> = nodes.iter().map(|&id| sharded.node(id)).collect();
-        let sharded_fp = fingerprint(
-            sharded.partition_records(PartitionId(0)),
-            &sharded_nodes,
-            sharded.sim_stats(PartitionId(0)),
-        );
-        assert_eq!(single_fp, sharded_fp, "P=1 sharded run diverged");
+    /// A schema that homes a key on the coordinator's id is refused.
+    #[test]
+    #[should_panic(expected = "schema names node 2 but cluster has 1 partitions of 2 nodes")]
+    fn schema_beyond_the_topology_is_rejected() {
+        let nodes: Vec<NodeId> = (0..3).map(NodeId).collect();
+        let _ = ShardedCluster::new(&schema(&nodes), ShardedConfig::new(1, 2), vec![vec![]]);
     }
 
     /// A cross-partition commuting tree commits on every partition, the

@@ -13,6 +13,8 @@
 //! Wall-clock runs are not bit-comparable to the DES shuttle (real time
 //! replaces virtual time), but they exercise the same engine code; the
 //! `driver_equivalence` suite covers the single-partition equivalence.
+//! With one partition this is the plain threaded 3V cluster: nodes `0..n`,
+//! coordinator `n`, client `n + 1`.
 
 use std::time::Duration;
 
@@ -29,25 +31,22 @@ use crate::cluster::ShardedConfig;
 /// `base(p) .. base(p) + stride`.
 ///
 /// # Panics
-/// Panics unless `arrivals` has exactly one stream per partition.
+/// Panics unless `arrivals` has exactly one stream per partition, and
+/// when the fault plane schedules node crashes on two or more partitions —
+/// the same construction check as [`crate::ShardedCluster::new`].
 pub fn build_sharded_actors(
     schema: &Schema,
     cfg: &ShardedConfig,
     arrivals: Vec<Vec<Arrival>>,
 ) -> Vec<ClusterActor> {
     let topo = cfg.topology;
-    assert_eq!(
-        arrivals.len(),
-        usize::from(topo.n_partitions()),
-        "one arrival stream per partition"
-    );
-    let ccfg = cfg.cluster_config();
+    let protocol = cfg.partition_protocol(arrivals.len());
     let mut actors =
         Vec::with_capacity(usize::from(topo.n_partitions()) * usize::from(topo.stride()));
     for (p, stream) in arrivals.into_iter().enumerate() {
         actors.extend(build_partition_actors(
             schema,
-            &ccfg,
+            &protocol,
             stream,
             PartitionId(p as u16),
         ));
@@ -115,6 +114,36 @@ mod tests {
             };
             assert!(expected, "unexpected actor kind at slot {i}");
         }
+    }
+
+    fn with_crash(cfg: ShardedConfig) -> ShardedConfig {
+        let mut cfg = cfg.durability(threev_core::node::DurabilityMode::Memory {
+            checkpoint_every: 8,
+        });
+        cfg.sim.faults.crashes = vec![threev_sim::NodeCrash {
+            node: threev_model::NodeId(0),
+            at: threev_sim::SimTime(20_000),
+            restart_after: SimDuration::from_millis(2),
+        }];
+        cfg
+    }
+
+    /// The threaded host goes through the same construction check as the
+    /// DES driver: crashes on two or more partitions are rejected.
+    #[test]
+    #[should_panic(expected = "crash injection needs a single partition")]
+    fn threaded_crashes_on_two_partitions_are_rejected() {
+        let cfg = with_crash(ShardedConfig::new(2, 2));
+        let _ = build_sharded_actors(&Schema::default(), &cfg, vec![vec![], vec![]]);
+    }
+
+    /// With one partition a crash config builds (the runtime then honours
+    /// it; see `runtime/tests/recovery_threaded.rs`).
+    #[test]
+    fn threaded_crashes_on_one_partition_are_accepted() {
+        let cfg = with_crash(ShardedConfig::new(1, 2));
+        let actors = build_sharded_actors(&Schema::default(), &cfg, vec![vec![]]);
+        assert_eq!(actors.len(), 4);
     }
 
     /// Smoke: a 2x2 sharded cluster on real threads commits disjoint

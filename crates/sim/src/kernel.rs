@@ -277,8 +277,6 @@ pub enum QuiesceOutcome {
     Quiescent(SimTime),
     /// The virtual-time cap was reached with events still pending.
     TimeCapped(SimTime),
-    /// An actor requested a stop via [`Ctx::request_stop`].
-    Stopped(SimTime),
 }
 
 /// Kernel internals shared with actors through [`Ctx`].
@@ -290,7 +288,6 @@ struct Core<M> {
     rng: SmallRng,
     transport: Transport,
     stats: SimStats,
-    stop: bool,
     /// Set once [`Simulation::step_chosen`] has been used: chosen-order
     /// execution may run events "late", so the heap-order time assertion
     /// in [`Simulation::step`] no longer applies.
@@ -359,7 +356,7 @@ impl<M: Clone> Core<M> {
 }
 
 /// Capability handle given to actor callbacks: clock, sending, timers, RNG,
-/// tracing, and stop requests.
+/// and tracing.
 pub struct Ctx<'a, M> {
     core: &'a mut Core<M>,
     me: NodeId,
@@ -393,11 +390,6 @@ impl<M> Ctx<'_, M> {
     /// Deterministic per-simulation RNG.
     pub fn rng(&mut self) -> &mut SmallRng {
         &mut self.core.rng
-    }
-
-    /// Ask the driver to stop after the current event.
-    pub fn request_stop(&mut self) {
-        self.core.stop = true;
     }
 
     /// Is tracing enabled? (Lets callers skip building expensive strings.)
@@ -441,17 +433,15 @@ pub struct Simulation<A: Actor> {
 impl<A: Actor> Simulation<A> {
     /// Build a simulation over `actors` (actor `i` has `NodeId(i)`).
     pub fn new(actors: Vec<A>, cfg: SimConfig) -> Self {
-        Self::new_partition(actors, 0, u16::MAX, cfg)
+        Self::new_partition(actors, 0, cfg)
     }
 
     /// Build a *partitioned* simulation: this instance hosts actors with
-    /// ids `base .. base + actors.len()`, inside a larger system of
-    /// `total` actors. Sends to ids outside the partition are collected in
-    /// an outbox (see [`Simulation::take_outbox`]) for an external driver —
-    /// the real-thread runtime — to route. `total` caps `is_local` checks;
-    /// pass `u16::MAX` when unknown.
-    pub fn new_partition(actors: Vec<A>, base: u16, total: u16, cfg: SimConfig) -> Self {
-        let _ = total;
+    /// ids `base .. base + actors.len()`. Sends to ids outside the
+    /// partition are collected in an outbox (see
+    /// [`Simulation::drain_outbox`]) for an external driver — the sharded
+    /// shuttle or the real-thread runtime — to route.
+    pub fn new_partition(actors: Vec<A>, base: u16, cfg: SimConfig) -> Self {
         let rng = SmallRng::seed_from_u64(cfg.seed);
         let transport = Transport::new(&cfg);
         let local_len = actors.len() as u16;
@@ -465,7 +455,6 @@ impl<A: Actor> Simulation<A> {
                 rng,
                 transport,
                 stats: SimStats::default(),
-                stop: false,
                 chosen_mode: false,
                 down: BTreeSet::new(),
                 trace: None,
@@ -499,15 +488,10 @@ impl<A: Actor> Simulation<A> {
         sim
     }
 
-    /// Drain messages addressed outside this partition.
-    pub fn take_outbox(&mut self) -> Vec<(NodeId, NodeId, A::Msg)> {
-        std::mem::take(&mut self.core.outbox)
-    }
-
     /// Drain messages addressed outside this partition into `buf`,
-    /// appending. Unlike [`Simulation::take_outbox`] this keeps the outbox
-    /// allocation, so a long-running driver touches the allocator only
-    /// until both buffers reach their high-water size.
+    /// appending. The outbox keeps its allocation, so a long-running driver
+    /// touches the allocator only until both buffers reach their
+    /// high-water size.
     pub fn drain_outbox(&mut self, buf: &mut Vec<(NodeId, NodeId, A::Msg)>) {
         buf.append(&mut self.core.outbox);
     }
@@ -910,17 +894,13 @@ impl<A: Actor> Simulation<A> {
     }
 
     /// Drive the simulation through an external [`Scheduler`] until the
-    /// queue drains, an actor requests a stop, or `max_steps` events have
-    /// executed. Returns the number of events executed. With
-    /// [`EarliestScheduler`] and `SimConfig::batch == false` this is
-    /// bit-identical to [`Simulation::run_to_quiescence`].
+    /// queue drains or `max_steps` events have executed. Returns the
+    /// number of events executed. With [`EarliestScheduler`] and
+    /// `SimConfig::batch == false` this is bit-identical to
+    /// [`Simulation::run_to_quiescence`].
     pub fn run_with_scheduler(&mut self, sched: &mut dyn Scheduler, max_steps: u64) -> u64 {
         let mut steps = 0;
         while steps < max_steps {
-            if self.core.stop {
-                self.core.stop = false;
-                break;
-            }
             let enabled = self.enabled_events();
             if enabled.is_empty() {
                 break;
@@ -932,15 +912,10 @@ impl<A: Actor> Simulation<A> {
         steps
     }
 
-    /// Run until the queue drains, an actor requests a stop, or virtual time
-    /// would exceed `time_cap`.
+    /// Run until the queue drains or virtual time would exceed `time_cap`.
     pub fn run_to_quiescence(&mut self, time_cap: SimTime) -> QuiesceOutcome {
         self.ensure_started();
         loop {
-            if self.core.stop {
-                self.core.stop = false;
-                return QuiesceOutcome::Stopped(self.core.now);
-            }
             match self.core.queue.peek() {
                 None => return QuiesceOutcome::Quiescent(self.core.now),
                 Some(ev) if ev.at > time_cap => {
@@ -959,12 +934,11 @@ impl<A: Actor> Simulation<A> {
     pub fn run_until(&mut self, until: SimTime) {
         self.ensure_started();
         while let Some(ev) = self.core.queue.peek() {
-            if ev.at > until || self.core.stop {
+            if ev.at > until {
                 break;
             }
             self.step();
         }
-        self.core.stop = false;
         if self.core.now < until {
             self.core.now = until;
         }
@@ -1159,30 +1133,6 @@ mod tests {
         let in_order: Vec<u64> = (0..100).collect();
         assert_eq!(mk(true), in_order, "fifo must deliver in send order");
         assert_ne!(mk(false), in_order, "jitter should reorder without fifo");
-    }
-
-    #[test]
-    fn stop_request_halts_run() {
-        struct Stopper;
-        impl Actor for Stopper {
-            type Msg = ();
-            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
-                ctx.schedule(SimDuration(5), 0);
-                ctx.schedule(SimDuration(10), 1);
-            }
-            fn on_message(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: ()) {}
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, token: u64) {
-                if token == 0 {
-                    ctx.request_stop();
-                }
-            }
-        }
-        let mut sim = Simulation::new(vec![Stopper], SimConfig::seeded(0));
-        let out = sim.run_to_quiescence(SimTime::MAX);
-        assert_eq!(out, QuiesceOutcome::Stopped(SimTime(5)));
-        // The second timer still fires on resume.
-        let out = sim.run_to_quiescence(SimTime::MAX);
-        assert_eq!(out, QuiesceOutcome::Quiescent(SimTime(10)));
     }
 
     /// Records every message plus the size of each batch it arrived in.

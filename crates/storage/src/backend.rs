@@ -13,7 +13,7 @@
 //!
 //! [`AnyBackend`] erases the choice at runtime so the node engine carries a
 //! single concrete store type, and [`BackendConfig`] is the small config
-//! enum threaded through `NodeConfig`/`ClusterConfig` to select one.
+//! enum threaded through `NodeConfig`/`ShardedConfig` to select one.
 
 use std::collections::{btree_map, BTreeMap};
 use std::io;

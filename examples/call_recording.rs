@@ -9,7 +9,7 @@
 use threev::analysis::Auditor;
 use threev::baselines::NoCoordCluster;
 use threev::core::advance::AdvancementPolicy;
-use threev::core::cluster::{ClusterConfig, ThreeVCluster};
+use threev::shard::{ShardedCluster, ShardedConfig};
 use threev::sim::{SimConfig, SimDuration, SimTime};
 use threev::workload::TelecomWorkload;
 
@@ -34,13 +34,13 @@ fn main() {
     );
 
     // --- 3V ---------------------------------------------------------------
-    let cfg = ClusterConfig::new(workload.switches).advancement(AdvancementPolicy::Periodic {
+    let cfg = ShardedConfig::new(1, workload.switches).advancement(AdvancementPolicy::Periodic {
         first: SimDuration::from_millis(50),
         period: SimDuration::from_millis(50),
     });
-    let mut cluster = ThreeVCluster::new(&schema, cfg, arrivals.clone());
+    let mut cluster = ShardedCluster::new(&schema, cfg, vec![arrivals.clone()]);
     cluster.run_until(SimTime(4_000_000));
-    let audit = Auditor::new(cluster.records()).check();
+    let audit = Auditor::new(&cluster.records()).check();
     println!(
         "3V:        {} bills audited against {} (bill, call) pairs -> {} violations",
         audit.reads_checked,

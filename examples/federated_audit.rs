@@ -9,8 +9,8 @@
 
 use threev::analysis::{Auditor, TxnStatus};
 use threev::core::client::Arrival;
-use threev::core::cluster::{ClusterConfig, ThreeVCluster};
-use threev::model::{Key, KeyDecl, NodeId, Schema, SubtxnPlan, TxnPlan, UpdateOp};
+use threev::model::{Key, KeyDecl, NodeId, PartitionId, Schema, SubtxnPlan, TxnPlan, UpdateOp};
+use threev::shard::{ShardedCluster, ShardedConfig};
 use threev::sim::SimTime;
 
 fn main() {
@@ -55,15 +55,15 @@ fn main() {
         Arrival::at(ms(120), audit_plan),
     ];
 
-    let mut cluster = ThreeVCluster::new(&schema, ClusterConfig::new(3), arrivals);
+    let mut cluster = ShardedCluster::new(&schema, ShardedConfig::new(1, 3), vec![arrivals]);
     cluster.run_until(ms(100));
-    cluster.trigger_advancement(); // publish the postings for auditing
+    cluster.trigger_advancement(PartitionId(0)); // publish the postings for auditing
     cluster.run(SimTime(60_000_000));
 
-    for r in cluster.records() {
+    let records = cluster.records();
+    for r in &records {
         println!("{} {:<11} -> {:?}", r.id, r.kind.to_string(), r.status);
     }
-    let records = cluster.records();
     assert_eq!(records[1].status, TxnStatus::Aborted, "failed posting");
 
     // The auditor's read (version 1) must see postings 1 and 3 on every
@@ -77,12 +77,11 @@ fn main() {
         assert!(!tags.contains(&2), "compensated posting leaked!");
     }
 
-    let audit = Auditor::new(records).check();
+    let audit = Auditor::new(&records).check();
     assert!(audit.clean(), "{audit:?}");
-    let comps: u64 = cluster
-        .node_stats()
+    let comps: u64 = members
         .iter()
-        .map(|s| s.compensations_applied)
+        .map(|&id| cluster.node(id).stats().compensations_applied)
         .sum();
     println!("\ncompensating subtransactions applied: {comps}; audit CLEAN");
 }

@@ -9,7 +9,8 @@
 
 use threev::analysis::{Auditor, RunSummary, TxnStatus};
 use threev::core::advance::AdvancementPolicy;
-use threev::core::cluster::{ClusterConfig, ThreeVCluster};
+use threev::model::PartitionId;
+use threev::shard::{ShardedCluster, ShardedConfig};
 use threev::sim::{SimDuration, SimTime};
 use threev::workload::HospitalWorkload;
 
@@ -33,15 +34,17 @@ fn main() {
         arrivals.len()
     );
 
-    let cfg = ClusterConfig::new(workload.departments).advancement(AdvancementPolicy::Periodic {
-        first: SimDuration::from_millis(100),
-        period: SimDuration::from_millis(100),
-    });
-    let mut cluster = ThreeVCluster::new(&schema, cfg, arrivals);
+    // One partition: every department is a node under one coordinator.
+    let cfg =
+        ShardedConfig::new(1, workload.departments).advancement(AdvancementPolicy::Periodic {
+            first: SimDuration::from_millis(100),
+            period: SimDuration::from_millis(100),
+        });
+    let mut cluster = ShardedCluster::new(&schema, cfg, vec![arrivals]);
     cluster.run_until(SimTime(4_000_000));
 
     let records = cluster.records();
-    let summary = RunSummary::from_records(records, SimTime::ZERO, cluster.now());
+    let summary = RunSummary::from_records(&records, SimTime::ZERO, cluster.now());
     println!(
         "committed: {} read-only, {} visits; throughput {:.0} tps",
         summary.committed.0, summary.committed.1, summary.throughput_tps
@@ -55,7 +58,7 @@ fn main() {
     );
     println!(
         "advancements: {}; max live versions of any item: {}",
-        cluster.advancements().len(),
+        cluster.advancements(PartitionId(0)).len(),
         cluster.max_versions_high_water()
     );
 
@@ -63,7 +66,7 @@ fn main() {
 
     // Theorem 4.1: every inquiry saw, for each patient, exactly the visits
     // of versions <= its own — all charges of a visit or none.
-    let audit = Auditor::new(records).check();
+    let audit = Auditor::new(&records).check();
     println!(
         "audit: {} inquiries, {} (inquiry, visit) pairs checked -> {}",
         audit.reads_checked,

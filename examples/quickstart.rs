@@ -10,8 +10,8 @@
 //! ```
 
 use threev::core::client::Arrival;
-use threev::core::cluster::{ClusterConfig, ThreeVCluster};
-use threev::model::{Key, KeyDecl, NodeId, Schema, SubtxnPlan, TxnPlan, UpdateOp};
+use threev::model::{Key, KeyDecl, NodeId, PartitionId, Schema, SubtxnPlan, TxnPlan, UpdateOp};
+use threev::shard::{ShardedCluster, ShardedConfig};
 use threev::sim::SimTime;
 
 fn main() {
@@ -44,14 +44,17 @@ fn main() {
         Arrival::at(SimTime(200_000), inquiry()), // after advancement
     ];
 
-    let mut cluster = ThreeVCluster::new(&schema, ClusterConfig::new(2), arrivals);
+    // One partition of two nodes: nodes 0 and 1, coordinator 2, client 3.
+    let p0 = PartitionId(0);
+    let mut cluster = ShardedCluster::new(&schema, ShardedConfig::new(1, 2), vec![arrivals]);
 
     // Let the visit and the first inquiry finish, then advance versions.
     cluster.run_until(SimTime(100_000));
-    cluster.trigger_advancement();
+    cluster.trigger_advancement(p0);
     cluster.run(SimTime(10_000_000));
 
-    for record in cluster.records() {
+    let records = cluster.records();
+    for record in &records {
         let total: i64 = record
             .reads
             .iter()
@@ -74,12 +77,12 @@ fn main() {
     // The racing inquiry read version 0 (total 0): it saw either ALL of the
     // visit or NONE of it — never a partial charge. The late inquiry read
     // version 1 (total 200).
-    let late = cluster.records().last().unwrap();
+    let late = records.last().unwrap();
     let total: i64 = late.reads.iter().filter_map(|o| o.value.as_counter()).sum();
     assert_eq!(total, 200);
     println!(
         "\nadvancements: {}; max live versions of any item: {} (3V bound: <= 3)",
-        cluster.advancements().len(),
+        cluster.advancements(p0).len(),
         cluster.max_versions_high_water()
     );
 }

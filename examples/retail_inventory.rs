@@ -8,8 +8,8 @@
 
 use threev::analysis::{RunSummary, TxnStatus};
 use threev::core::advance::AdvancementPolicy;
-use threev::core::cluster::{ClusterConfig, ThreeVCluster};
 use threev::model::TxnKind;
+use threev::shard::{ShardedCluster, ShardedConfig};
 use threev::sim::{SimDuration, SimTime};
 use threev::workload::RetailWorkload;
 
@@ -33,17 +33,17 @@ fn main() {
         arrivals.len()
     );
 
-    let cfg = ClusterConfig::new(workload.stores)
+    let cfg = ShardedConfig::new(1, workload.stores)
         .with_locks() // NC3V mode: the workload has non-commuting txns
         .advancement(AdvancementPolicy::Periodic {
             first: SimDuration::from_millis(80),
             period: SimDuration::from_millis(80),
         });
-    let mut cluster = ThreeVCluster::new(&schema, cfg, arrivals);
+    let mut cluster = ShardedCluster::new(&schema, cfg, vec![arrivals]);
     cluster.run_until(SimTime(5_000_000));
 
     let records = cluster.records();
-    let summary = RunSummary::from_records(records, SimTime::ZERO, cluster.now());
+    let summary = RunSummary::from_records(&records, SimTime::ZERO, cluster.now());
     println!(
         "committed: {} audits, {} sales, {} price changes; {} aborted",
         summary.committed.0, summary.committed.1, summary.committed.2, summary.aborted
@@ -54,7 +54,7 @@ fn main() {
         use threev::analysis::Histogram;
         let mut sales = Histogram::new();
         let mut prices = Histogram::new();
-        for r in records {
+        for r in &records {
             if r.status != TxnStatus::Committed {
                 continue;
             }
@@ -72,7 +72,8 @@ fn main() {
 
     // NC3V bookkeeping across the cluster.
     let (mut gated, mut commits, mut stale_aborts) = (0, 0, 0);
-    for s in cluster.node_stats() {
+    for id in cluster.node_ids() {
+        let s = cluster.node(id).stats();
         gated += s.nc_gated;
         commits += s.nc_commits;
         stale_aborts += s.nc_stale_aborts;

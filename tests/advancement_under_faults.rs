@@ -19,16 +19,17 @@ use proptest::prelude::*;
 use threev::analysis::TxnStatus;
 use threev::core::advance::AdvancementPolicy;
 use threev::core::client::Arrival;
-use threev::core::cluster::{ClusterConfig, ThreeVCluster};
 use threev::core::node::ThreeVNode;
 use threev::model::{
-    Key, KeyDecl, NodeId, Schema, SubtxnPlan, TxnPlan, UpdateOp, Value, VersionNo,
+    Key, KeyDecl, NodeId, PartitionId, Schema, SubtxnPlan, TxnPlan, UpdateOp, Value, VersionNo,
 };
-use threev::sim::{
-    FaultPlane, FaultScope, LatencyModel, NodePause, QuiesceOutcome, SimDuration, SimTime,
-};
+use threev::shard::{ShardOutcome, ShardedCluster, ShardedConfig};
+use threev::sim::{FaultPlane, FaultScope, LatencyModel, NodePause, SimDuration, SimTime};
 
 const N_NODES: u16 = 3;
+
+/// The one partition every run here uses.
+const P0: PartitionId = PartitionId(0);
 /// Actor id of the coordinator (nodes occupy `0..N_NODES`).
 const COORD: NodeId = NodeId(N_NODES);
 /// The node paused across the advancement window.
@@ -123,7 +124,7 @@ struct Outcome {
 /// cluster to quiescence. `faults == None` is the clean reference run.
 fn run(seed: u64, faults: Option<FaultPlane>) -> Outcome {
     let faulty = faults.is_some();
-    let mut cfg = ClusterConfig::new(N_NODES)
+    let mut cfg = ShardedConfig::new(1, N_NODES)
         .seed(seed)
         .advancement(AdvancementPolicy::Manual);
     cfg.sim.latency = LatencyModel::Uniform {
@@ -135,19 +136,19 @@ fn run(seed: u64, faults: Option<FaultPlane>) -> Outcome {
         // Retransmit is what buys liveness on the lossy control plane.
         cfg.protocol.coordinator.retransmit = Some(SimDuration::from_millis(2));
     }
-    let mut cluster = ThreeVCluster::new(&schema(), cfg, arrivals());
+    let mut cluster = ShardedCluster::new(&schema(), cfg, vec![arrivals()]);
     // Trigger the advancement while the paused node is still frozen and
     // data-plane work is still in flight: phase 2 must poll through both.
     cluster.run_until(ms(30));
-    cluster.trigger_advancement();
+    cluster.trigger_advancement(P0);
     let out = cluster.run(SimTime(60_000_000_000));
     assert!(
-        matches!(out, QuiesceOutcome::Quiescent(_)),
+        matches!(out, ShardOutcome::Quiescent(_)),
         "cluster failed to quiesce (seed {seed}, faulty {faulty}): {out:?}"
     );
 
     if faulty {
-        let stats = cluster.sim_stats();
+        let stats = cluster.sim_stats(P0);
         assert!(
             stats.dropped > 0,
             "fault plane must actually drop (seed {seed}): {stats:?}"
@@ -160,12 +161,12 @@ fn run(seed: u64, faults: Option<FaultPlane>) -> Outcome {
 
     // Exactly one advancement, fully recorded, on every node.
     assert_eq!(
-        cluster.advancements().len(),
+        cluster.advancements(P0).len(),
         1,
         "exactly one advancement must complete (seed {seed}, faulty {faulty})"
     );
     for i in 0..N_NODES {
-        let node = cluster.node(i);
+        let node = cluster.node(n(i));
         assert_eq!(
             (node.vu(), node.vr()),
             (VersionNo(2), VersionNo(1)),
@@ -176,14 +177,16 @@ fn run(seed: u64, faults: Option<FaultPlane>) -> Outcome {
     assert!(cluster.max_versions_high_water() <= 3, "3V bound violated");
 
     let committed = cluster
-        .records()
+        .partition_records(P0)
         .iter()
         .filter(|r| r.status == TxnStatus::Committed)
         .count();
     assert_eq!(committed, arrivals().len(), "every visit commits");
 
     Outcome {
-        stores: (0..N_NODES).map(|i| store_image(cluster.node(i))).collect(),
+        stores: (0..N_NODES)
+            .map(|i| store_image(cluster.node(n(i))))
+            .collect(),
         committed,
     }
 }

@@ -20,12 +20,15 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use threev::core::advance::AdvancementPolicy;
-use threev::core::cluster::{ClusterConfig, ThreeVCluster};
 use threev::core::node::{ProfileMode, Stage};
-use threev::model::NodeId;
+use threev::model::{NodeId, PartitionId};
+use threev::shard::{ShardedCluster, ShardedConfig};
 use threev::sim::{FaultPlane, LatencyModel, SimConfig, SimDuration, SimTime};
 use threev::storage::BackendConfig;
 use threev::workload::HospitalWorkload;
+
+/// The one partition every run here uses.
+const P0: PartitionId = PartitionId(0);
 
 #[derive(Debug, Clone)]
 struct Scenario {
@@ -107,34 +110,31 @@ fn run(s: &Scenario, batch: bool, profile: ProfileMode, backend: BackendConfig) 
         }
     }
 
-    let cfg = ClusterConfig {
-        n_nodes: s.n_nodes,
-        sim: SimConfig {
-            latency: LatencyModel::Uniform {
-                min: SimDuration::from_micros(100),
-                max: SimDuration::from_micros(100 + s.jitter_max_us),
-            },
-            local_latency: SimDuration::from_micros(1),
-            fifo: s.fifo,
-            seed: s.seed,
-            batch,
-            faults: FaultPlane::default(),
-            fault_stream: 0,
+    let mut cfg = ShardedConfig::new(1, s.n_nodes)
+        .backend(backend)
+        .advancement(AdvancementPolicy::Periodic {
+            first: SimDuration::from_millis(s.adv_period_ms),
+            period: SimDuration::from_millis(s.adv_period_ms),
+        });
+    cfg.protocol.node.profile = profile;
+    cfg.sim = SimConfig {
+        latency: LatencyModel::Uniform {
+            min: SimDuration::from_micros(100),
+            max: SimDuration::from_micros(100 + s.jitter_max_us),
         },
-        protocol: Default::default(),
-    }
-    .backend(backend)
-    .profile(profile)
-    .advancement(AdvancementPolicy::Periodic {
-        first: SimDuration::from_millis(s.adv_period_ms),
-        period: SimDuration::from_millis(s.adv_period_ms),
-    });
-    let mut cluster = ThreeVCluster::new(&schema, cfg, arrivals);
+        local_latency: SimDuration::from_micros(1),
+        fifo: s.fifo,
+        seed: s.seed,
+        batch,
+        faults: FaultPlane::default(),
+        fault_stream: 0,
+    };
+    let mut cluster = ShardedCluster::new(&schema, cfg, vec![arrivals]);
     cluster.run_until(SimTime(2_000_000));
 
     let mut nodes = Vec::new();
     for i in 0..s.n_nodes {
-        let node = cluster.node(i);
+        let node = cluster.node(NodeId(i));
         let mut keys: Vec<_> = node.store().keys().collect();
         keys.sort_unstable();
         let layout: Vec<String> = keys
@@ -147,7 +147,7 @@ fn run(s: &Scenario, batch: bool, profile: ProfileMode, backend: BackendConfig) 
             layout,
         ));
     }
-    let stats = cluster.sim_stats();
+    let stats = cluster.sim_stats(P0);
     assert_eq!(
         (stats.dropped, stats.duplicated, stats.reordered),
         (0, 0, 0),
@@ -160,7 +160,11 @@ fn run(s: &Scenario, batch: bool, profile: ProfileMode, backend: BackendConfig) 
         .collect();
     messages_by_tag.sort();
     Fingerprint {
-        records: cluster.records().iter().map(|r| format!("{r:?}")).collect(),
+        records: cluster
+            .partition_records(P0)
+            .iter()
+            .map(|r| format!("{r:?}"))
+            .collect(),
         nodes,
         messages: stats.messages,
         timers: stats.timers,
@@ -169,7 +173,7 @@ fn run(s: &Scenario, batch: bool, profile: ProfileMode, backend: BackendConfig) 
         duplicated: stats.duplicated,
         reordered: stats.reordered,
         messages_by_tag,
-        advancements: cluster.advancements().len(),
+        advancements: cluster.advancements(P0).len(),
     }
 }
 
@@ -309,13 +313,12 @@ fn profiler_accumulates_when_on() {
         zipf_s: 0.9,
         seed: 3,
     };
-    let cfg = ClusterConfig::new(2)
-        .seed(3)
-        .profile(ProfileMode::On(counting_clock));
-    let mut cluster = ThreeVCluster::new(&workload.schema(), cfg, workload.arrivals());
+    let mut cfg = ShardedConfig::new(1, 2).seed(3);
+    cfg.protocol.node.profile = ProfileMode::On(counting_clock);
+    let mut cluster = ShardedCluster::new(&workload.schema(), cfg, vec![workload.arrivals()]);
     cluster.run_until(SimTime(1_000_000));
     let b = cluster
-        .node(0)
+        .node(NodeId(0))
         .stage_breakdown()
         .expect("profiled node has a breakdown");
     assert!(
@@ -331,7 +334,7 @@ fn profiler_accumulates_when_on() {
         "nested stages cannot exceed the envelope"
     );
     assert!(
-        cluster.node(1).stage_breakdown().is_some(),
+        cluster.node(NodeId(1)).stage_breakdown().is_some(),
         "every node of a profiled cluster is profiled"
     );
 }

@@ -10,15 +10,18 @@
 
 use threev::analysis::{Auditor, TxnStatus};
 use threev::core::advance::AdvancementPolicy;
-use threev::core::cluster::{ClusterConfig, ThreeVCluster};
 use threev::core::node::DurabilityMode;
-use threev::model::NodeId;
+use threev::model::{NodeId, PartitionId};
+use threev::shard::{ShardedCluster, ShardedConfig};
 use threev::sim::{
     FaultPlane, FaultScope, LatencyModel, NodeCrash, SimConfig, SimDuration, SimTime,
 };
 use threev::workload::TelecomWorkload;
 
 const N_SWITCHES: u16 = 4;
+
+/// The one partition every run here uses.
+const P0: PartitionId = PartitionId(0);
 
 /// Loss + duplication scoped to the coordinator↔node control links. The
 /// data plane stays clean, matching the paper's §6 assumption of reliable
@@ -70,22 +73,18 @@ fn run_cell_with(latency: LatencyModel, fifo: bool, seed: u64, faults: FaultPlan
     let n = arrivals.len();
     let lossy = faults.drop_ppm > 0;
     let crashy = !faults.crashes.is_empty();
-    let mut cfg = ClusterConfig {
-        n_nodes: N_SWITCHES,
-        sim: SimConfig {
-            latency,
-            local_latency: SimDuration::from_micros(1),
-            fifo,
-            seed,
-            faults,
-            ..SimConfig::default()
-        },
-        protocol: Default::default(),
-    }
-    .advancement(AdvancementPolicy::Periodic {
+    let mut cfg = ShardedConfig::new(1, N_SWITCHES).advancement(AdvancementPolicy::Periodic {
         first: SimDuration::from_millis(30),
         period: SimDuration::from_millis(60),
     });
+    cfg.sim = SimConfig {
+        latency,
+        local_latency: SimDuration::from_micros(1),
+        fifo,
+        seed,
+        faults,
+        ..SimConfig::default()
+    };
     // Hostile planes need the fault-tolerant control plane: retransmission
     // rides over loss and carries a restarted node's rejoin; crashed nodes
     // need a WAL to restart from.
@@ -97,7 +96,7 @@ fn run_cell_with(latency: LatencyModel, fifo: bool, seed: u64, faults: FaultPlan
             checkpoint_every: 64,
         });
     }
-    let mut cluster = ThreeVCluster::new(&schema, cfg, arrivals);
+    let mut cluster = ShardedCluster::new(&schema, cfg, vec![arrivals]);
     // Generous horizon: WAN spikes can stretch a tree's lifetime a lot.
     cluster.run_until(SimTime(20_000_000));
 
@@ -108,7 +107,7 @@ fn run_cell_with(latency: LatencyModel, fifo: bool, seed: u64, faults: FaultPlan
         cluster.max_versions_high_water() <= 3,
         "version bound: {label}"
     );
-    let records = cluster.records();
+    let records = cluster.partition_records(P0);
     assert_eq!(records.len(), n);
     assert!(
         records.iter().all(|r| r.status == TxnStatus::Committed),
@@ -117,7 +116,7 @@ fn run_cell_with(latency: LatencyModel, fifo: bool, seed: u64, faults: FaultPlan
     let audit = Auditor::new(records).check();
     assert!(audit.clean(), "{label}: {audit:?}");
     assert!(
-        !cluster.advancements().is_empty(),
+        !cluster.advancements(P0).is_empty(),
         "advancement starved: {label}"
     );
 }

@@ -16,11 +16,16 @@
 use proptest::prelude::*;
 use threev::analysis::TxnStatus;
 use threev::core::advance::AdvancementPolicy;
-use threev::core::cluster::{ClusterConfig, ThreeVCluster};
 use threev::core::Arrival;
-use threev::model::{Key, KeyDecl, NodeId, Schema, SubtxnPlan, TxnId, TxnPlan, UpdateOp};
+use threev::model::{
+    Key, KeyDecl, NodeId, PartitionId, Schema, SubtxnPlan, TxnId, TxnPlan, UpdateOp,
+};
+use threev::shard::{ShardedCluster, ShardedConfig};
 use threev::sim::{SimDuration, SimTime};
 use threev::storage::{LockDecision, LockMode, LockTable};
+
+/// The one partition every run here uses.
+const P0: PartitionId = PartitionId(0);
 
 fn t(seq: u64) -> TxnId {
     TxnId::new(seq, NodeId(0))
@@ -217,16 +222,16 @@ proptest! {
         arrivals.push(Arrival::at(ms(nc2_ms), TxnPlan::non_commuting(
             SubtxnPlan::new(n(1)).update(k(2), UpdateOp::Assign(7)),
         )));
-        let cfg = ClusterConfig::new(2)
+        let cfg = ShardedConfig::new(1, 2)
             .with_locks()
             .advancement(AdvancementPolicy::Periodic {
                 first: SimDuration::from_millis(trigger_ms),
                 period: SimDuration::from_secs(1000),
             });
-        let mut cluster = ThreeVCluster::new(&schema, cfg, arrivals);
+        let mut cluster = ShardedCluster::new(&schema, cfg, vec![arrivals]);
         cluster.run_until(SimTime(60_000_000));
         prop_assert!(cluster.all_quiescent(), "cluster failed to quiesce");
-        for r in cluster.records() {
+        for r in cluster.partition_records(P0) {
             prop_assert_eq!(
                 r.status, TxnStatus::Committed,
                 "{:?} did not commit (trigger={}ms)", r.id, trigger_ms
@@ -234,7 +239,7 @@ proptest! {
         }
         for i in 0..2u16 {
             prop_assert!(
-                cluster.node(i).locks().is_idle(),
+                cluster.node(n(i)).locks().is_idle(),
                 "node {i} lock table has residue at quiescence"
             );
         }
@@ -260,22 +265,26 @@ fn nc_gate_observably_parks_and_releases() {
         })
         .collect();
     arrivals.push(Arrival::at(ms(6), nc));
-    let cfg = ClusterConfig::new(2)
+    let cfg = ShardedConfig::new(1, 2)
         .with_locks()
         .advancement(AdvancementPolicy::Periodic {
             first: SimDuration::from_millis(5),
             period: SimDuration::from_secs(1000),
         });
-    let mut cluster = ThreeVCluster::new(&schema, cfg, arrivals);
+    let mut cluster = ShardedCluster::new(&schema, cfg, vec![arrivals]);
     // run_until, not run-to-quiescence: the periodic advancement timer
     // re-arms forever, so the event queue never drains.
     cluster.run_until(SimTime(30_000_000));
     assert!(cluster.all_quiescent());
     assert!(cluster
-        .records()
+        .partition_records(P0)
         .iter()
         .all(|r| r.status == TxnStatus::Committed));
-    let gated: u64 = cluster.node_stats().iter().map(|s| s.nc_gated).sum();
+    let gated: u64 = cluster
+        .node_ids()
+        .iter()
+        .map(|&id| cluster.node(id).stats().nc_gated)
+        .sum();
     assert!(gated >= 1, "NC txn should have been parked at the gate");
-    assert!(cluster.node(0).locks().is_idle() && cluster.node(1).locks().is_idle());
+    assert!(cluster.node(n(0)).locks().is_idle() && cluster.node(n(1)).locks().is_idle());
 }

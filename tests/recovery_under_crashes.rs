@@ -22,14 +22,17 @@
 use threev::analysis::TxnStatus;
 use threev::core::advance::AdvancementPolicy;
 use threev::core::client::Arrival;
-use threev::core::cluster::{ClusterConfig, ThreeVCluster};
 use threev::core::node::{DurabilityMode, ThreeVNode};
 use threev::model::{
-    Key, KeyDecl, NodeId, Schema, SubtxnPlan, TxnPlan, UpdateOp, Value, VersionNo,
+    Key, KeyDecl, NodeId, PartitionId, Schema, SubtxnPlan, TxnPlan, UpdateOp, Value, VersionNo,
 };
-use threev::sim::{LatencyModel, NodeCrash, QuiesceOutcome, SimDuration, SimTime};
+use threev::shard::{ShardOutcome, ShardedCluster, ShardedConfig};
+use threev::sim::{LatencyModel, NodeCrash, SimDuration, SimTime};
 
 const N_NODES: u16 = 3;
+
+/// The one partition every run here uses.
+const P0: PartitionId = PartitionId(0);
 /// The node that gets crash-injected (a participant, not the root).
 const CRASHED: NodeId = NodeId(1);
 
@@ -120,8 +123,8 @@ struct Outcome {
 /// Shared configuration of the clean and crashed runs. Retransmission is
 /// on in *both* (the prefix-identity argument needs identical configs up
 /// to the crash list), and so is in-memory durability.
-fn config(seed: u64) -> ClusterConfig {
-    let mut cfg = ClusterConfig::new(N_NODES)
+fn config(seed: u64) -> ShardedConfig {
+    let mut cfg = ShardedConfig::new(1, N_NODES)
         .seed(seed)
         .advancement(AdvancementPolicy::Manual)
         .durability(DurabilityMode::Memory {
@@ -141,24 +144,24 @@ fn run(seed: u64, crashes: Vec<NodeCrash>) -> Outcome {
     let crashed = !crashes.is_empty();
     let mut cfg = config(seed);
     cfg.sim.faults.crashes = crashes;
-    let mut cluster = ThreeVCluster::new(&schema(), cfg, arrivals());
+    let mut cluster = ShardedCluster::new(&schema(), cfg, vec![arrivals()]);
     cluster.run_until(ms(30));
-    cluster.trigger_advancement();
+    cluster.trigger_advancement(P0);
     let out = cluster.run(SimTime(60_000_000_000));
     assert!(
-        matches!(out, QuiesceOutcome::Quiescent(_)),
+        matches!(out, ShardOutcome::Quiescent(_)),
         "cluster failed to quiesce (seed {seed}, crashed {crashed}): {out:?}"
     );
 
     // Exactly one advancement, fully recorded, on every node — including
     // the one that lost its version variables mid-flight.
     assert_eq!(
-        cluster.advancements().len(),
+        cluster.advancements(P0).len(),
         1,
         "exactly one advancement must complete (seed {seed}, crashed {crashed})"
     );
     for i in 0..N_NODES {
-        let node = cluster.node(i);
+        let node = cluster.node(n(i));
         assert_eq!(
             (node.vu(), node.vr()),
             (VersionNo(2), VersionNo(1)),
@@ -169,16 +172,18 @@ fn run(seed: u64, crashes: Vec<NodeCrash>) -> Outcome {
     assert!(cluster.max_versions_high_water() <= 3, "3V bound violated");
 
     let committed = cluster
-        .records()
+        .partition_records(P0)
         .iter()
         .filter(|r| r.status == TxnStatus::Committed)
         .count();
     assert_eq!(committed, arrivals().len(), "every visit commits");
 
-    let rec = &cluster.advancements()[0];
-    let crashed_stats = cluster.node(CRASHED.0).stats();
+    let rec = &cluster.advancements(P0)[0];
+    let crashed_stats = cluster.node(CRASHED).stats();
     Outcome {
-        stores: (0..N_NODES).map(|i| store_image(cluster.node(i))).collect(),
+        stores: (0..N_NODES)
+            .map(|i| store_image(cluster.node(n(i))))
+            .collect(),
         committed,
         phase_marks: [
             rec.started,
@@ -293,16 +298,18 @@ fn durability_without_crashes_changes_nothing() {
 
     let mut cfg = config(seed);
     cfg.protocol.node.durability = DurabilityMode::None;
-    let mut cluster = ThreeVCluster::new(&schema(), cfg, arrivals());
+    let mut cluster = ShardedCluster::new(&schema(), cfg, vec![arrivals()]);
     cluster.run_until(ms(30));
-    cluster.trigger_advancement();
+    cluster.trigger_advancement(P0);
     let out = cluster.run(SimTime(60_000_000_000));
-    assert!(matches!(out, QuiesceOutcome::Quiescent(_)));
-    let plain: Vec<Vec<String>> = (0..N_NODES).map(|i| store_image(cluster.node(i))).collect();
+    assert!(matches!(out, ShardOutcome::Quiescent(_)));
+    let plain: Vec<Vec<String>> = (0..N_NODES)
+        .map(|i| store_image(cluster.node(n(i))))
+        .collect();
 
     assert_eq!(with_wal.stores, plain);
     for i in 0..N_NODES {
-        assert_eq!(cluster.node(i).stats().wal_records, 0);
-        assert_eq!(cluster.node(i).stats().recoveries, 0);
+        assert_eq!(cluster.node(n(i)).stats().wal_records, 0);
+        assert_eq!(cluster.node(n(i)).stats().recoveries, 0);
     }
 }
