@@ -47,6 +47,16 @@ impl VersionTimeline {
         self.published_at.entry(v).or_insert(at);
     }
 
+    /// Entries held: close instants plus publish instants.
+    pub fn len(&self) -> usize {
+        self.closed_at.len() + self.published_at.len()
+    }
+
+    /// Does the timeline hold no entry?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// When `v` closed, if known.
     pub fn closed_at(&self, v: VersionNo) -> Option<SimTime> {
         self.closed_at.get(&v).copied()

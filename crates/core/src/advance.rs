@@ -231,6 +231,18 @@ impl Coordinator {
         &self.timeline
     }
 
+    /// Remove and return the completed advancement records and the
+    /// timeline entries collected so far. A long-running owner with no
+    /// use for per-round history (the server engine) drains it after
+    /// each round, so coordinator memory stays flat; an advancement in
+    /// progress keeps its partial record.
+    pub fn take_history(&mut self) -> (Vec<AdvancementRecord>, VersionTimeline) {
+        (
+            std::mem::take(&mut self.records),
+            std::mem::take(&mut self.timeline),
+        )
+    }
+
     /// Coordinator's view of the current read version.
     pub fn vr(&self) -> VersionNo {
         self.vr

@@ -125,6 +125,21 @@ impl<M: ProtocolMsg> ClientActor<M> {
         self.index.get(&txn).map(|&i| &mut self.records[i])
     }
 
+    /// Remove and return `txn`'s record, O(log n) through the index. The
+    /// last record takes the freed slot, so [`records`](Self::records)
+    /// loses its submission order once anything is taken; the DES drivers
+    /// never take, and the server engine keeps no other record. A
+    /// completion that arrives for a taken transaction is dropped, as for
+    /// any unknown id.
+    pub fn take_record(&mut self, txn: TxnId) -> Option<TxnRecord> {
+        let i = self.index.remove(&txn)?;
+        let record = self.records.swap_remove(i);
+        if let Some(moved) = self.records.get(i) {
+            self.index.insert(moved.id, i);
+        }
+        Some(record)
+    }
+
     /// Register a transaction submitted from *outside* the arrival list —
     /// the network front end injects `Msg::Submit` directly into the
     /// simulation, then calls this so the completion that bounces back to
@@ -300,5 +315,23 @@ mod tests {
         assert!(records.iter().all(|r| r.status == TxnStatus::Committed));
         assert!(records[0].submitted >= SimTime(1_000));
         assert!(records[0].completed.unwrap() > records[0].submitted);
+    }
+
+    #[test]
+    fn take_record_removes_one_and_keeps_the_index_consistent() {
+        let mut c = ClientActor::<FakeMsg>::new(Vec::new());
+        let ids: Vec<TxnId> = (0..4).map(|s| TxnId::new(s, NodeId(0))).collect();
+        for &id in &ids {
+            c.register_external(id, TxnKind::Commuting, SimTime::ZERO, Vec::new());
+        }
+        assert_eq!(c.take_record(ids[1]).map(|r| r.id), Some(ids[1]));
+        assert!(c.take_record(ids[1]).is_none(), "taken twice");
+        // The record that moved into the freed slot is still found.
+        assert_eq!(c.take_record(ids[3]).map(|r| r.id), Some(ids[3]));
+        assert_eq!(c.take_record(ids[0]).map(|r| r.id), Some(ids[0]));
+        assert_eq!(c.records().len(), 1);
+        assert_eq!(c.records()[0].id, ids[2]);
+        assert_eq!(c.take_record(ids[2]).map(|r| r.id), Some(ids[2]));
+        assert!(c.records().is_empty());
     }
 }

@@ -13,6 +13,15 @@
 //! every N committed updates the engine asks every partition's coordinator
 //! for one advancement and drains it, so read-only transactions see fresh
 //! versions without any wall-clock timers inside the deterministic core.
+//!
+//! The engine holds no history. It retires each transaction record from
+//! its client actor as it builds the reply, moving the reads into the
+//! outcome, and it drops every coordinator's advancement records and
+//! version timeline after each round; [`Engine::retained`] reports both as
+//! zero between commands. It keeps no schema copy either: read homes
+//! resolve through the nodes' stores. What still grows with history is
+//! the data itself — journals, by design (every append is a value), and
+//! the nodes' compensation tombstones, which are not yet reclaimed.
 
 use std::collections::BTreeMap;
 
@@ -64,11 +73,22 @@ pub struct TxnOutcome {
     pub reads: Vec<ReadResult>,
 }
 
+/// Sizes of the per-command and per-round state the engine holds, summed
+/// over partitions. All are zero between commands.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Retained {
+    /// Transaction records held by the client actors.
+    pub records: usize,
+    /// Completed advancement records held by the coordinators.
+    pub advancement_records: usize,
+    /// Version-timeline entries held by the coordinators.
+    pub timeline_entries: usize,
+}
+
 /// The sharded cluster plus the submission/advancement bookkeeping the
 /// server needs.
 pub struct Engine {
     cluster: ShardedCluster,
-    schema: Schema,
     next_seq: u64,
     advance_every: u64,
     since_advance: u64,
@@ -88,9 +108,8 @@ impl Engine {
     pub fn new(schema: &Schema, cfg: ShardedConfig, advance_every: u64) -> Self {
         let partitions = usize::from(cfg.topology.n_partitions());
         let cluster = ShardedCluster::new(schema, cfg, vec![Vec::new(); partitions]);
-        Engine {
+        let mut engine = Engine {
             cluster,
-            schema: schema.clone(),
             next_seq: 0,
             advance_every,
             since_advance: 0,
@@ -99,12 +118,10 @@ impl Engine {
             aborted: 0,
             reads_served: 0,
             advancements: 0,
-        }
-    }
-
-    /// The schema this engine serves.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
+        };
+        // A fresh coordinator's timeline already marks version 0 closed.
+        engine.drop_history();
+        engine
     }
 
     /// Execute one plan to completion and report its outcome.
@@ -133,28 +150,28 @@ impl Engine {
 
     /// Read the transaction-visible values of `keys` through a read-only
     /// transaction tree spanning every home node. Duplicates are served
-    /// once; results come back in first-occurrence order.
+    /// once; results come back in first-occurrence order. O(k log k) in
+    /// the keys of the request.
     pub fn read(&mut self, keys: &[Key]) -> Result<Vec<ReadResult>, EngineError> {
-        let mut unique: Vec<Key> = Vec::new();
+        // Each distinct key's position in the reply, by first occurrence.
+        let mut position: BTreeMap<Key, usize> = BTreeMap::new();
         let mut by_node: BTreeMap<NodeId, Vec<Key>> = BTreeMap::new();
+        let mut root_node = None;
         for &k in keys {
-            if unique.contains(&k) {
+            if position.contains_key(&k) {
                 continue;
             }
-            let home = self.schema.home(k).ok_or(EngineError::UnknownKey(k))?;
-            unique.push(k);
+            let home = self.cluster.home_of(k).ok_or(EngineError::UnknownKey(k))?;
+            position.insert(k, position.len());
+            // Root on the first key's home node.
+            root_node.get_or_insert(home);
             by_node.entry(home).or_default().push(k);
         }
-        if unique.is_empty() {
+        let Some(root_node) = root_node else {
             return Ok(Vec::new());
-        }
-        // Root on the first key's home node; every other node becomes a
-        // child subtransaction (order fixed by the BTreeMap for
-        // determinism).
-        let root_node = match self.schema.home(unique[0]) {
-            Some(n) => n,
-            None => return Err(EngineError::UnknownKey(unique[0])),
         };
+        // Every other node becomes a child subtransaction (order fixed by
+        // the BTreeMap for determinism).
         let mut root = SubtxnPlan::new(root_node);
         if let Some(ks) = by_node.remove(&root_node) {
             for k in ks {
@@ -170,24 +187,36 @@ impl Engine {
         }
         let outcome = self.submit(&TxnPlan::read_only(root))?;
         self.reads_served += 1;
-        // Reorder the observations to first-occurrence request order.
-        let mut out = Vec::with_capacity(unique.len());
-        for k in unique {
-            match outcome.reads.iter().find(|r| r.key == k) {
-                Some(r) => out.push(r.clone()),
-                None => return Err(EngineError::RecordMissing(outcome.txn)),
+        // Move the observations into request order; the first observation
+        // of a key wins.
+        let mut out: Vec<Option<ReadResult>> = vec![None; position.len()];
+        for r in outcome.reads {
+            if let Some(&i) = position.get(&r.key) {
+                out[i].get_or_insert(r);
             }
         }
-        Ok(out)
+        out.into_iter()
+            .collect::<Option<Vec<_>>>()
+            .ok_or(EngineError::RecordMissing(outcome.txn))
     }
 
     /// One advancement round: ask every partition's coordinator and run
-    /// the cluster until the round completes.
+    /// the cluster until the round completes. The round's history is
+    /// dropped once it has run.
     pub fn trigger_advancement(&mut self) {
         self.cluster.trigger_advancement_all();
         self.cluster.run(SimTime::MAX);
+        self.drop_history();
         self.since_advance = 0;
         self.advancements += 1;
+    }
+
+    /// Drop every coordinator's advancement records and timeline: the
+    /// server has no consumer for them, and they grow by one round each.
+    fn drop_history(&mut self) {
+        for p in self.partitions() {
+            drop(self.cluster.take_advancement_history(p));
+        }
     }
 
     /// Server counters. `busy_rejections` belongs to the socket layer and
@@ -203,6 +232,18 @@ impl Engine {
             cross_messages: self.cluster.cross_messages(),
             virtual_now_us: self.cluster.now().0,
         }
+    }
+
+    /// Retained-state sizes: what the engine holds that is not store data.
+    pub fn retained(&self) -> Retained {
+        let mut r = Retained::default();
+        for p in self.partitions() {
+            r.records += self.cluster.partition_records(p).len();
+            let coordinator = self.cluster.coordinator(p);
+            r.advancement_records += coordinator.records().len();
+            r.timeline_entries += coordinator.timeline().len();
+        }
+        r
     }
 
     /// Canonical dump of every node's committed store: `vu`/`vr` plus the
@@ -245,14 +286,12 @@ impl Engine {
         &self.cluster
     }
 
-    fn outcome_of(&self, root: NodeId, txn: TxnId) -> Result<TxnOutcome, EngineError> {
+    /// Retire `txn`'s record and build its outcome from it.
+    fn outcome_of(&mut self, root: NodeId, txn: TxnId) -> Result<TxnOutcome, EngineError> {
         let p = self.cluster.topology().partition_of(root);
         let record = self
             .cluster
-            .partition_records(p)
-            .iter()
-            .rev()
-            .find(|r| r.id == txn)
+            .take_record(p, txn)
             .ok_or(EngineError::RecordMissing(txn))?;
         if record.status == TxnStatus::InFlight {
             return Err(EngineError::RecordMissing(txn));
@@ -263,11 +302,11 @@ impl Engine {
             version: record.version,
             reads: record
                 .reads
-                .iter()
+                .into_iter()
                 .map(|o| ReadResult {
                     key: o.key,
                     version: o.version,
-                    value: o.value.clone(),
+                    value: o.value,
                 })
                 .collect(),
         })

@@ -30,6 +30,6 @@ pub mod proto;
 pub mod server;
 
 pub use client::{Client, ClientError};
-pub use engine::{Engine, EngineError, TxnOutcome};
+pub use engine::{Engine, EngineError, Retained, TxnOutcome};
 pub use proto::{Request, Response, PROTOCOL_VERSION};
 pub use server::{serve, ServerConfig, ServerHandle};

@@ -32,13 +32,13 @@
 //! and the threaded one go through — rejects crashes when there are
 //! two or more partitions.
 
-use threev_analysis::TxnRecord;
+use threev_analysis::{TxnRecord, VersionTimeline};
 use threev_core::advance::{AdvancementPolicy, AdvancementRecord, Coordinator};
-use threev_core::client::Arrival;
+use threev_core::client::{Arrival, ClientActor};
 use threev_core::cluster::{build_partition_actors, ClusterActor, ThreeVConfig};
 use threev_core::msg::{Msg, ProtocolMsg};
 use threev_core::node::{BackendConfig, DurabilityMode, ThreeVNode};
-use threev_model::{NodeId, PartitionId, PlanError, Schema, Topology, TxnId, TxnPlan};
+use threev_model::{Key, NodeId, PartitionId, PlanError, Schema, Topology, TxnId, TxnPlan};
 use threev_sim::{SimConfig, SimDuration, SimStats, SimTime, Simulation, Trace};
 
 /// Configuration of a sharded cluster.
@@ -324,19 +324,62 @@ impl ShardedCluster {
         let txn = TxnId::new(seq, root);
         let journal_keys = plan.journal_keys();
         let now = self.now();
-        match self.sims[p.index()].actors_mut().last_mut() {
-            Some(ClusterActor::Client(c)) => c.register_external(txn, plan.kind, now, journal_keys),
-            // lint-allow(panic-hygiene): the client occupies the last
-            // actor slot of every partition block by construction — same
-            // invariant `partition_records` leans on.
-            _ => unreachable!("client occupies the last actor slot of the partition"),
-        }
+        self.client_mut(p)
+            .register_external(txn, plan.kind, now, journal_keys);
         self.sims[p.index()].inject(
             client,
             root,
             Msg::submit(txn, plan.kind, plan.root.clone(), client, fail_node),
         );
         Ok(txn)
+    }
+
+    /// Partition `p`'s client actor.
+    fn client_mut(&mut self, p: PartitionId) -> &mut ClientActor<Msg> {
+        match self.sims[p.index()].actors_mut().last_mut() {
+            Some(ClusterActor::Client(c)) => c,
+            // lint-allow(panic-hygiene): the client occupies the last
+            // actor slot of every partition block by construction — same
+            // invariant `partition_records` leans on.
+            _ => unreachable!("client occupies the last actor slot of the partition"),
+        }
+    }
+
+    /// Remove and return `txn`'s record from partition `p`'s client,
+    /// O(log n) (see [`ClientActor::take_record`]). The server engine
+    /// retires each record this way once it has built the reply; the DES
+    /// drivers never call it, so their [`records`](Self::records) stay
+    /// complete for the auditor.
+    pub fn take_record(&mut self, p: PartitionId, txn: TxnId) -> Option<TxnRecord> {
+        self.client_mut(p).take_record(txn)
+    }
+
+    /// Remove and return partition `p`'s completed advancement records
+    /// and version timeline (see [`Coordinator::take_history`]).
+    pub fn take_advancement_history(
+        &mut self,
+        p: PartitionId,
+    ) -> (Vec<AdvancementRecord>, VersionTimeline) {
+        let slot = usize::from(self.topo.nodes_per_partition());
+        match self.sims[p.index()].actors_mut().get_mut(slot) {
+            Some(ClusterActor::Coordinator(c)) => c.take_history(),
+            // lint-allow(panic-hygiene): the coordinator occupies slot k of
+            // every partition block by construction.
+            _ => unreachable!("coordinator occupies actor slot k of the partition"),
+        }
+    }
+
+    /// The database node whose store holds `key`: its home under the
+    /// schema the cluster was built from. Probes each node's store, so
+    /// the cluster keeps no schema copy for this.
+    pub fn home_of(&self, key: Key) -> Option<NodeId> {
+        self.sims
+            .iter()
+            .flat_map(|sim| sim.actors())
+            .find_map(|actor| match actor {
+                ClusterActor::Node(n) if n.store().contains(key) => Some(n.store().node()),
+                _ => None,
+            })
     }
 
     /// Ask partition `p`'s coordinator for one advancement now.
@@ -487,7 +530,7 @@ impl ShardedCluster {
 mod tests {
     use super::*;
     use threev_analysis::TxnStatus;
-    use threev_model::{Key, KeyDecl, SubtxnPlan, TxnPlan, UpdateOp};
+    use threev_model::{KeyDecl, SubtxnPlan, TxnPlan, UpdateOp, VersionNo};
 
     fn ms(x: u64) -> SimTime {
         SimTime(x * 1_000)
@@ -752,6 +795,48 @@ mod tests {
             via_external.submit_external(1, &foreign, None),
             Err(SubmitError::UnknownNode(_))
         ));
+    }
+
+    /// A served transaction's record and a finished round's history can be
+    /// taken out of the cluster; homes resolve through the node stores.
+    #[test]
+    fn records_and_history_can_be_retired() {
+        let topo = Topology::new(2, 2);
+        let all: Vec<NodeId> = (0..2).flat_map(|p| topo.nodes(PartitionId(p))).collect();
+        let schema = schema(&all);
+        for &n in &all {
+            assert_eq!(schema.home(Key(1_000 + u64::from(n.0))), Some(n));
+        }
+        let mut cluster = ShardedCluster::new(
+            &schema,
+            ShardedConfig::new(2, 2).seed(5),
+            vec![vec![], vec![]],
+        );
+        for &n in &all {
+            assert_eq!(cluster.home_of(Key(1_000 + u64::from(n.0))), Some(n));
+        }
+        assert_eq!(cluster.home_of(Key(999_999)), None);
+
+        let p0 = PartitionId(0);
+        let plan = visit(&[all[0], all[3]], 4);
+        let txn = cluster.submit_external(0, &plan, None).unwrap();
+        cluster.run(SimTime::MAX);
+        let rec = cluster.take_record(p0, txn).expect("record registered");
+        assert_eq!(rec.status, TxnStatus::Committed);
+        assert!(cluster.partition_records(p0).is_empty());
+        assert!(cluster.take_record(p0, txn).is_none());
+
+        cluster.trigger_advancement_all();
+        cluster.run(SimTime::MAX);
+        let (rounds, timeline) = cluster.take_advancement_history(p0);
+        assert_eq!(rounds.len(), 1);
+        // Version 0 closed at construction; the round closed and
+        // published version 1.
+        assert_eq!(timeline.len(), 3);
+        assert!(timeline.published_at(VersionNo(1)).is_some());
+        assert!(cluster.advancements(p0).is_empty());
+        assert!(cluster.coordinator(p0).timeline().is_empty());
+        assert_eq!(cluster.advancements(PartitionId(1)).len(), 1);
     }
 
     /// Deterministic replay: same seed, same outcome, across the shuttle.

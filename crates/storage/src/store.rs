@@ -226,6 +226,11 @@ impl<B: StorageBackend> Store<B> {
         self.backend.is_empty()
     }
 
+    /// Does this store hold `key`?
+    pub fn contains(&self, key: Key) -> bool {
+        self.backend.get(key).is_some()
+    }
+
     /// Statistics so far.
     pub fn stats(&self) -> &StoreStats {
         &self.stats
